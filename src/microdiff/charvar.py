@@ -18,7 +18,7 @@ from fractions import Fraction
 import sympy
 
 from .errors import BoundsExhausted, ZeroOperator
-from .padic import binomial_structure_constant_exact
+from .padic import binomial_structure_constant_exact, check_prime_and_level
 from .polynomials import Poly
 from .pseudopoly import digit_decomposition, SymbolPoly
 from .diffop import DiffOp, level_map_phi
@@ -58,6 +58,7 @@ class CyclicModule:
     """
 
     def __init__(self, p: int, m: int, relations, precision: int = 20):
+        check_prime_and_level(p, m)
         self.p = p
         self.m = m
         self.precision = precision

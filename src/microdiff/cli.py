@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ExprSyntaxError, MicrodiffError
+from .padic import check_prime_and_level
 from .polynomials import Poly
 from .pseudopoly import SymbolPoly
 from .diffop import DiffOp, OrderSymbol, level_map_phi, order_and_symbol, render_diffop
@@ -295,6 +296,7 @@ class Session:
     """Shared context for one CLI invocation; all values share (p, d)."""
 
     def __init__(self, p, level=0, precision=20, window_floor=-12, d=1, laurent=False):
+        check_prime_and_level(p, level)
         self.p = p
         self.level = level
         self.precision = precision
@@ -681,14 +683,14 @@ def main(argv=None):
             # explicit command-line flags take priority over the config file
             if hasattr(args, key) and getattr(args, key) == flag_defaults.get(key):
                 setattr(args, key, int(val))
-    session = Session(
-        p=args.p,
-        level=getattr(args, "level", 0),
-        precision=args.precision,
-        window_floor=args.window_floor,
-        laurent=getattr(args, "laurent", False),
-    )
     try:
+        session = Session(
+            p=args.p,
+            level=getattr(args, "level", 0),
+            precision=args.precision,
+            window_floor=args.window_floor,
+            laurent=getattr(args, "laurent", False),
+        )
         return args.func(args, session)
     except MicrodiffError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ factors are p-integral the result is certified p-integral.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,6 +28,42 @@ from .polynomials import Poly
 from .pseudopoly import SymbolPoly
 
 INF = math.inf
+
+
+def _leibniz_into(prod: dict, a_plain: dict, b_plain: dict, sign: int, jmin: int):
+    """Add sign * (A B) restricted to |J| >= jmin into prod (M -> exp -> Fraction).
+
+    A and B are plain-basis dicts and
+    (a D^K)(b D^L) = sum_{J <= K} binom(K,J) a * D^J(b) * D^(K-J+L).
+    """
+    for L, b in b_plain.items():
+        derivs = {(0,) * len(L): b}  # J -> D^J(b), shared by every K
+        for K, a in a_plain.items():
+            for J in itertools.product(*[range(kj + 1) for kj in K]):
+                if sum(J) < jmin:
+                    continue
+                db = _derivative(derivs, J)
+                if db.is_zero():
+                    continue
+                binom = sign
+                for kj, jj in zip(K, J):
+                    binom *= math.comb(kj, jj)
+                acc = prod.setdefault(tuple(kj - jj + lj for kj, jj, lj in zip(K, J, L)), {})
+                for e1, c1 in a.coeffs.items():
+                    c1 *= binom
+                    for e2, c2 in db.coeffs.items():
+                        e = tuple(u + v for u, v in zip(e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _derivative(derivs: dict, J) -> Poly:
+    """D^J(b) from the memo derivs, which holds b at J = 0."""
+    db = derivs.get(J)
+    if db is None:
+        j = next(j for j, e in enumerate(J) if e)
+        prev = J[:j] + (J[j] - 1,) + J[j + 1:]
+        db = derivs[J] = _derivative(derivs, prev).derivative(j)
+    return db
 
 
 class DiffOp:
@@ -156,33 +193,9 @@ class DiffOp:
         if isinstance(other, (int, Fraction, Poly)):
             return self.scale(other)
         self._check(other)
-        both_integral = self.is_integral() and other.is_integral()
-        a_plain = self.to_plain()
-        b_plain = other.to_plain()
         prod = {}
-        for K, a in a_plain.items():
-            for L, b in b_plain.items():
-                # (a D^K)(b D^L) = sum_{J <= K} binom(K,J) a * D^J(b) * D^(K-J+L)
-                ranges = [range(kj + 1) for kj in K]
-                for J in itertools.product(*ranges):
-                    db = b
-                    for j, Jj in enumerate(J):
-                        for _ in range(Jj):
-                            db = db.derivative(j)
-                        if db.is_zero():
-                            break
-                    if db.is_zero():
-                        continue
-                    binom = 1
-                    for kj, jj in zip(K, J):
-                        binom *= math.comb(kj, jj)
-                    M = tuple(kj - jj + lj for kj, jj, lj in zip(K, J, L))
-                    add = (a * db).scale(binom)
-                    prod[M] = prod.get(M, Poly.zero(self.d)) + add
-        out = DiffOp.from_plain(prod, self.p, self.m, self.d)
-        if both_integral and not out.is_integral():
-            raise IntegralityViolation("product of integral operators not integral")
-        return out
+        _leibniz_into(prod, self.to_plain(), other.to_plain(), 1, 0)
+        return self._from_product(prod, other)
 
     __rmul__ = __mul__
 
@@ -199,7 +212,26 @@ class DiffOp:
         return out
 
     def commutator(self, other):
-        return self * other - other * self
+        """[self, other] = self*other - other*self in one Leibniz pass.
+
+        The J = 0 terms of the two products are a*b*D^(K+L) both ways and
+        cancel exactly, so only the multi-indices J != 0 are summed.
+        """
+        self._check(other)
+        a_plain = self.to_plain()
+        b_plain = other.to_plain()
+        prod = {}
+        _leibniz_into(prod, a_plain, b_plain, 1, 1)
+        _leibniz_into(prod, b_plain, a_plain, -1, 1)
+        return self._from_product(prod, other)
+
+    def _from_product(self, prod, other):
+        """Back to the level-m basis; products of integral operators stay integral."""
+        plain = {M: Poly(self.d, c) for M, c in prod.items()}
+        out = DiffOp.from_plain(plain, self.p, self.m, self.d)
+        if not out.is_integral() and self.is_integral() and other.is_integral():
+            raise IntegralityViolation("product of integral operators not integral")
+        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -311,10 +343,14 @@ class ThetaTilde:
         return self.n * self.theta.p**self.mprime
 
 
+@functools.lru_cache(maxsize=64)
 def build_theta_tilde(theta: SymbolPoly, m: int, mprime: int, side: str = "left") -> ThetaTilde:
     """Theta-tilde at levels (m, m'): sum over terms a_k xi^k of theta of
     a_k^(p^m') times prod_j (D_j^<m><p^m>)^(k_j p^(m'-m)), coefficient on the
-    requested side."""
+    requested side.
+
+    Cached: every argument is hashable, and neither SymbolPoly nor DiffOp is
+    ever changed in place."""
     if theta.m != 0:
         raise LevelMismatch("theta must be a level-0 symbol")
     if theta.is_zero() or not theta.is_homogeneous() or theta.degree() < 1:

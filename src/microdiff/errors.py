@@ -5,6 +5,10 @@ class MicrodiffError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidParameter(MicrodiffError):
+    """A prime that is not prime, or a level below 0 (bad user input)."""
+
+
 class LevelMismatch(MicrodiffError):
     """Operands live at different levels / primes / dimensions."""
 

@@ -12,9 +12,8 @@ and all certificates are coset statements.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffop import DiffOp, ThetaTilde, build_theta_tilde
@@ -367,13 +366,13 @@ def _divide_symbol_top(B: DiffOp, kT, cT: Poly, p, m, d, laurent):
 # -- commutation engine -------------------------------------------------------
 
 
-def _push_once(T: DiffOp, cur: dict, remaining: int, floor, korder: int, signed: bool):
+def _push_once(T: DiffOp, cur: dict, remaining: int, floor, korder: int, signed: bool, memo: dict):
     """One application of T^(-1) to a presentation dict t -> D_t.
 
     signed=True expands T^(-1) D = sum_s (-1)^s ad_T^s(D) T^(-s-1) (left pass);
     signed=False expands D T^(-1) = sum_s T^(-s-1) ad_T^s(D) (right pass).
-    Terms whose order cannot reach the floor after the remaining applications
-    are pruned.
+    memo maps D -> ad_T(D) = [T, D].  Terms whose order cannot reach the
+    floor after the remaining applications are pruned.
     """
     nxt = {}
     for t, D in cur.items():
@@ -389,34 +388,25 @@ def _push_once(T: DiffOp, cur: dict, remaining: int, floor, korder: int, signed:
             piece = c if (s % 2 == 0 or not signed) else -c
             key = t + s + 1
             nxt[key] = nxt.get(key, DiffOp.zero(D.p, D.m, D.d)) + piece
-            c = T.commutator(c)
+            ad = memo.get(c)
+            if ad is None:
+                ad = memo[c] = T.commutator(c)
+            c = ad
             s += 1
     return {t: D for t, D in nxt.items() if not D.is_zero()}
 
 
-def _push_left(T: DiffOp, i: int, Q: DiffOp, floor, korder: int):
-    """T^(-i) * Q = sum_t D_t T^(-t) modulo order < floor.
+def _push(T: DiffOp, i: int, Q: DiffOp, floor, korder: int, signed: bool, memo: dict):
+    """Move T^(-i) past Q, one pass per power of T, modulo order < floor.
 
-    korder is the order of T; applies T^(-1) Q = sum_s (-1)^s ad_T^s(Q)
-    T^(-s-1) once per pass, i passes in total.
+    signed=True: T^(-i) * Q = sum_t D_t T^(-t); signed=False:
+    Q * T^(-i) = sum_t T^(-t) D_t.  korder is the order of T.
     """
     if Q.is_zero():
         return {}
     cur = {0: Q}
     for j in range(i, 0, -1):
-        cur = _push_once(T, cur, j - 1, floor, korder, signed=True)
-    return cur
-
-
-def _push_right(T: DiffOp, i: int, Q: DiffOp, floor, korder: int):
-    """Q * T^(-i) = sum_t T^(-t) D_t modulo order < floor.
-
-    Uses Q T^(-1) = sum_s T^(-s-1) ad_T^s(Q), one pass per power of T."""
-    if Q.is_zero():
-        return {}
-    cur = {0: Q}
-    for j in range(i, 0, -1):
-        cur = _push_once(T, cur, j - 1, floor, korder, signed=False)
+        cur = _push_once(T, cur, j - 1, floor, korder, signed, memo)
     return cur
 
 
@@ -437,7 +427,11 @@ def _right_decompose(D: DiffOp) -> dict:
 
 
 def micro_multiply(P: MicroOp, Q: MicroOp) -> MicroOp:
-    """Product, presented on P's side, truncated to the combined window."""
+    """Product, presented on P's side, truncated to the combined window.
+
+    The ad_T memo lives for this one call: it is keyed by operator only, so
+    it is valid for a single localizer T and is dropped on return.
+    """
     P._check(Q)
     if P.side != "left":
         return convert_presentation(
@@ -454,6 +448,7 @@ def micro_multiply(P: MicroOp, Q: MicroOp) -> MicroOp:
         (Q.floor + P.order()) if Q.floor != -INF else -INF,
     )
     out = {}
+    memo = {}
     for (k1, i1), b1 in P.terms.items():
         left = DiffOp(P.p, P.level, P.d, {k1: b1})
         for (k2, i2), b2 in Q.terms.items():
@@ -461,7 +456,7 @@ def micro_multiply(P: MicroOp, Q: MicroOp) -> MicroOp:
             sub_floor = floor
             if sub_floor != -INF:
                 sub_floor = floor + i2 * korder  # the T^(-i2) tail shifts orders down
-            pushed = _push_left(T, i1, right, sub_floor, korder)
+            pushed = _push(T, i1, right, sub_floor, korder, True, memo)
             for t, D in pushed.items():
                 prod = left * D
                 i = t + i2
@@ -484,11 +479,12 @@ def convert_presentation(P: MicroOp, target_side: str) -> MicroOp:
     T_right = build_theta_tilde(P.theta, P.level, P.mprime, "right").op
     korder = P.localizer_order
     out = {}
+    memo = {}  # ad_T memo for this call; one localizer per direction
     if target_side == "left":
         # input right: T^(-i) D^<k> b  ->  push T^(-i) through
         for (k, i), b in P.terms.items():
             Q = DiffOp(P.p, P.level, P.d, {k: Poly.const(1, P.d)}) * DiffOp.from_poly(b, P.p, P.level)
-            for t, D in _push_left(T_right, i, Q, P.floor, korder).items():
+            for t, D in _push(T_right, i, Q, P.floor, korder, True, memo).items():
                 for kk, c in D.terms.items():
                     key = (kk, t)
                     out[key] = out.get(key, Poly.zero(P.d)) + c
@@ -497,7 +493,7 @@ def convert_presentation(P: MicroOp, target_side: str) -> MicroOp:
         # right-decompose the numerators
         for (k, i), b in P.terms.items():
             Q = DiffOp(P.p, P.level, P.d, {k: b})
-            for t, D in _push_right(T_left, i, Q, P.floor, korder).items():
+            for t, D in _push(T_left, i, Q, P.floor, korder, False, memo).items():
                 for kk, c in _right_decompose(D).items():
                     key = (kk, t)
                     out[key] = out.get(key, Poly.zero(P.d)) + c

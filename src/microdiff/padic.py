@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IntegralityViolation
+from .errors import IntegralityViolation, InvalidParameter
 
 #: alias used throughout: the carrier for exact structure constants
 ExactRational = Fraction
@@ -32,6 +32,14 @@ def is_prime(p: int) -> bool:
             return False
         f += 1
     return True
+
+
+def check_prime_and_level(p: int, m: int) -> None:
+    """Reject a non-prime p or a negative level m with InvalidParameter."""
+    if not is_prime(p):
+        raise InvalidParameter(f"p = {p} is not a prime")
+    if m < 0:
+        raise InvalidParameter(f"level m = {m} is negative")
 
 
 def valuation(x, p: int):

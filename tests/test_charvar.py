@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from microdiff.diffop import DiffOp
+from microdiff.errors import InvalidParameter
 from microdiff.polynomials import Poly
 from microdiff.charvar import (
     Bounds,
@@ -49,6 +50,11 @@ class TestOrderStandardBasis:
     def test_zero_ideal(self):
         sb = order_standard_basis(CyclicModule(2, 0, []))
         assert sb.complete and sb.basis == []
+
+    @pytest.mark.parametrize("p,m", [(4, 0), (1, 0), (2, -1)])
+    def test_bad_prime_or_level_rejected(self, p, m):
+        with pytest.raises(InvalidParameter):
+            CyclicModule(p, m, [])
 
     def test_denominators_cleared(self):
         M = module(2, 0, (D(2) - X(2)).scale(Fraction(1, 4)))

@@ -216,6 +216,25 @@ class TestCommands:
         assert json.loads(out)["stable_from"] == 0
 
 
+# -- bad input at the boundary ----------------------------------------------------
+
+
+class TestBoundary:
+    CASES = [
+        ("char", "--p", "4", "--rel", "d1 - x1"),
+        ("char", "--p", "1", "--rel", "d1 - x1"),
+        ("char", "--p", "2", "--level", "-1", "--rel", "d1 - x1"),
+        ("mul", "--p", "0", "--expr", "d1"),
+    ]
+
+    @pytest.mark.parametrize("argv", CASES, ids=["p4", "p1", "level-1", "p0"])
+    def test_one_error_line_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 # -- determinism ------------------------------------------------------------------
 
 

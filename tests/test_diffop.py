@@ -53,6 +53,44 @@ def random_diffop(rng, p, m, d=1, max_k=6, max_deg=3, nterms=3):
     return DiffOp(p, m, d, terms)
 
 
+@st.composite
+def diffops(draw, p, m, d, n=2, min_exp=-2):
+    """n random operators of (p, m, d): up to three terms of order <= 4 per
+    coordinate, coefficients with x-exponents in [min_exp, 3]."""
+    exps = st.tuples(*[st.integers(min_exp, 3)] * d)
+    polys = st.dictionaries(exps, st.integers(-4, 4), max_size=3).map(lambda c: Poly(d, c))
+    ks = st.tuples(*[st.integers(0, 4)] * d)
+    return [
+        DiffOp(p, m, d, draw(st.dictionaries(ks, polys, max_size=3))) for _ in range(n)
+    ]
+
+
+@st.composite
+def operator_pairs(draw, min_exp=-2):
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(0, 2))
+    d = draw(st.integers(1, 2))
+    return draw(diffops(p, m, d, min_exp=min_exp))
+
+
+class TestDifferentialOracles:
+    """The fast paths against the slow exact ones they replace."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(operator_pairs())
+    def test_commutator_is_difference_of_products(self, ops):
+        A, B = ops
+        assert A.commutator(B) == A * B - B * A
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator_pairs(), st.data())
+    def test_product_acts_as_composition(self, ops, data):
+        P, Q = ops
+        exps = st.tuples(*[st.integers(-2, 4)] * P.d)
+        f = Poly(P.d, data.draw(st.dictionaries(exps, st.integers(-5, 5), max_size=4)))
+        assert (P * Q).apply(f) == P.apply(Q.apply(f))
+
+
 class TestDefiningRelation:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("m", [0, 1, 2, 3])

@@ -93,7 +93,9 @@ class PadicScalar:
     """An element p^e * u of Q_p known modulo p^(e+N).
 
     ``u`` is a unit reduced mod p^N (coprime to p) and ``N >= 1`` is the
-    relative precision.  Zero is the distinguished value with ``e = INF``.
+    relative precision.  Zero is the distinguished value with ``e = INF``;
+    for zero, ``N`` is the absolute precision, so it reads O(p^N) and may
+    be any integer.
     """
 
     p: int
@@ -104,7 +106,7 @@ class PadicScalar:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if self.N < 1:
+        if not self.is_zero() and self.N < 1:
             raise ValueError("precision must be positive")
         if not self.is_zero() and math.gcd(self.u, self.p) != 1:
             raise ValueError("unit part not coprime to p")
@@ -157,16 +159,14 @@ class PadicScalar:
         N = abs_prec - e
         if N <= 0:
             # sum indistinguishable from zero at the known precision
-            return PadicScalar.zero(self.p, max(self.N, other.N))
+            return PadicScalar.zero(self.p, abs_prec)
         mod = self.p**N
         total = (
             self.u * self.p ** (self.e - e) + other.u * self.p ** (other.e - e)
         ) % mod
         if total == 0:
-            return PadicScalar.zero(self.p, N)
+            return PadicScalar.zero(self.p, abs_prec)
         v = valuation(total, self.p)
-        if v >= N:
-            return PadicScalar.zero(self.p, N)
         return PadicScalar(self.p, e + v, (total // self.p**v) % self.p ** (N - v), N - v)
 
     def __neg__(self) -> "PadicScalar":
@@ -187,9 +187,10 @@ class PadicScalar:
 
     def congruent_to(self, x) -> bool:
         """Does the exact rational x reduce to this value at this precision?"""
-        other = PadicScalar.from_rational(Fraction(x), self.p, self.N)
+        x = Fraction(x)
         if self.is_zero():
-            return other.is_zero() or other.e >= self.N
+            return x == 0 or valuation(x, self.p) >= self.N
+        other = PadicScalar.from_rational(x, self.p, self.N)
         return other.e == self.e and (other.u - self.u) % self.p**self.N == 0
 
     def __str__(self):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microdiff.padic import (
@@ -145,6 +145,10 @@ class TestPadicScalar:
         st.integers(2, 12),
     )
     @settings(max_examples=150)
+    # sums that cancel to zero at the known precision: the zero keeps the
+    # absolute precision of its summands, which may be <= 0
+    @example(Fraction(-3, 2), Fraction(1, 14), 2, 2)
+    @example(Fraction(1, 4), Fraction(3, 4), 2, 2)
     def test_arithmetic_tracks_rationals(self, x, y, p, N):
         # only p-invertible denominators after p-extraction are in scope
         a = PadicScalar.from_rational(x, p, N)

@@ -57,11 +57,10 @@ class CyclicModule:
     variety does not depend on it).
     """
 
-    def __init__(self, p: int, m: int, relations, precision: int = 20):
+    def __init__(self, p: int, m: int, relations):
         check_prime_and_level(p, m)
         self.p = p
         self.m = m
-        self.precision = precision
         rels = []
         for P in relations:
             if not isinstance(P, DiffOp):
@@ -79,12 +78,7 @@ class CyclicModule:
                 raise ValueError("only the affine line (d = 1) is supported")
 
     def level_raised(self, mprime: int) -> "CyclicModule":
-        return CyclicModule(
-            self.p,
-            mprime,
-            [level_map_phi(P, mprime) for P in self.relations],
-            self.precision,
-        )
+        return CyclicModule(self.p, mprime, [level_map_phi(P, mprime) for P in self.relations])
 
 
 @dataclass
@@ -487,7 +481,6 @@ def micro_support_test(
     M: CyclicModule,
     levels,
     window: int = -12,
-    precision: int = 20,
     char: CharVariety = None,
 ) -> dict:
     """Per-level support verdicts on the punctured chart (Theta = xi).
@@ -508,7 +501,7 @@ def micro_support_test(
             Pl = level_map_phi(P, level) if level > M.m else P
             xi = SymbolPoly.xi(p, 0, 1)
             try:
-                rep = try_invert(Pl, xi, level, floor=window, precision=precision, laurent=True)
+                rep = try_invert(Pl, xi, level, floor=window, laurent=True)
                 if rep.ok:
                     verdicts.append(
                         SupportVerdict(
@@ -566,10 +559,6 @@ def micro_support_test(
 # -- the counterexample suite -------------------------------------------------------
 
 
-def _gauss_val(f: Poly, p: int):
-    return f.p_valuation(p)
-
-
 def verify_counterexample(p: int, n_max: int = 30, deg_bound: int = 3) -> dict:
     """Exact verification of the non-stability mechanism.
 
@@ -611,10 +600,10 @@ def verify_counterexample(p: int, n_max: int = 30, deg_bound: int = 3) -> dict:
     test_set = test_set[:10]
     norm_ok = True
     for f0 in test_set:
-        v0 = min(0, _gauss_val(f0, p)) if not f0.is_zero() else 0
+        v0 = min(0, f0.p_valuation(p)) if not f0.is_zero() else 0
         fprev, fcur = f0, Poly.const(-1) - x * f0
         for n in range(1, n_max + 1):
-            if _gauss_val(fcur, p) != v0:
+            if fcur.p_valuation(p) != v0:
                 norm_ok = False
             fprev, fcur = fcur, fprev.scale(n) - x * fcur
     checks.append(

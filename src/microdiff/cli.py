@@ -12,7 +12,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ExprSyntaxError, MicrodiffError
+from .errors import ExprSyntaxError, InvalidParameter, MicrodiffError
 from .padic import check_prime_and_level
 from .polynomials import Poly
 from .pseudopoly import SymbolPoly
@@ -108,7 +108,7 @@ class _Parser:
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
             op = self.take("op")[1]
             w = self.term()
-            v = self._add(v, w) if op == "+" else self._add(v, self._neg(w))
+            v = self._add(v, w if op == "+" else -w)
         return v
 
     def term(self):
@@ -121,7 +121,7 @@ class _Parser:
     def factor(self):
         if self.peek()[:2] == ("op", "-"):
             self.take("op", "-")
-            return self._neg(self.factor())
+            return -self.factor()
         v = self.atom()
         while self.peek()[:2] == ("op", "^"):
             self.take("op", "^")
@@ -219,7 +219,6 @@ class _Parser:
             {((0,) * self.s.d, power): 1},
             "left",
             self.s.window_floor,
-            self.s.precision,
             self.s.laurent,
         )
 
@@ -232,21 +231,8 @@ class _Parser:
 
     # -- mixed-type arithmetic ------------------------------------------
 
-    def _neg(self, v):
-        if isinstance(v, (int, Fraction)):
-            return -v
-        if isinstance(v, (DiffOp, MicroOp)):
-            return -v if isinstance(v, DiffOp) else v.scale(-1)
-        return v.scale(-1)
-
-    def _promote_pair(self, a, b):
-        kinds = (type(a), type(b))
-        return kinds
-
     def _add(self, a, b):
         a, b = self._coerce(a, b)
-        if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-            return a + b
         return a + b
 
     def _mul(self, a, b):
@@ -278,14 +264,12 @@ class _Parser:
             if hi == 3:
                 return MicroOp.one(
                     other.theta, other.level, other.mprime,
-                    floor=other.floor, precision=other.precision,
-                    laurent=other.laurent,
+                    floor=other.floor, laurent=other.laurent,
                 ).scale(c)
             return c
         if isinstance(v, DiffOp) and hi == 3:
             return MicroOp.from_diffop(
-                v, other.theta, other.mprime,
-                floor=other.floor, precision=other.precision, laurent=other.laurent,
+                v, other.theta, other.mprime, floor=other.floor, laurent=other.laurent
             )
         if isinstance(v, SymbolPoly) and hi >= 2:
             raise ExprSyntaxError("cannot mix symbols and operators in one expression")
@@ -295,11 +279,10 @@ class _Parser:
 class Session:
     """Shared context for one CLI invocation; all values share (p, d)."""
 
-    def __init__(self, p, level=0, precision=20, window_floor=-12, d=1, laurent=False):
+    def __init__(self, p, level=0, window_floor=-12, d=1, laurent=False):
         check_prime_and_level(p, level)
         self.p = p
         self.level = level
-        self.precision = precision
         self.window_floor = window_floor
         self.d = d
         self.laurent = laurent
@@ -317,8 +300,6 @@ def parse_symbol(text, session):
         v = parse(text, session)
     finally:
         session.symbol_mode = False
-    if isinstance(v, (int, Fraction)):
-        raise ExprSyntaxError("expected a symbol expression")
     if not isinstance(v, SymbolPoly):
         raise ExprSyntaxError("expected a symbol expression")
     return v
@@ -328,11 +309,7 @@ def parse_symbol(text, session):
 
 
 def _render(v):
-    if isinstance(v, DiffOp):
-        return render_diffop(v)
-    if isinstance(v, (int, Fraction)):
-        return str(v)
-    return str(v)
+    return render_diffop(v) if isinstance(v, DiffOp) else str(v)
 
 
 def _json_value(v):
@@ -423,11 +400,10 @@ def cmd_psi(args, session):
 
 def cmd_invert(args, session):
     v = parse(args.expr, session)
+    if not isinstance(v, (DiffOp, MicroOp)):
+        raise ExprSyntaxError("invert needs a differential or microlocal operator")
     theta = parse_symbol(args.theta, session)
-    rep = try_invert(
-        v, theta, args.mprime, floor=session.window_floor,
-        precision=session.precision, laurent=args.laurent,
-    )
+    rep = try_invert(v, theta, args.mprime, floor=session.window_floor, laurent=args.laurent)
     payload = {
         "command": "invert",
         "p": session.p,
@@ -470,7 +446,7 @@ def _module_from_args(args, session):
         if not isinstance(r, DiffOp):
             raise ExprSyntaxError("relations must be differential operators")
     rels = [r.level_shift(args.level) if r.m != args.level else r for r in rels]
-    return CyclicModule(session.p, args.level, rels, session.precision)
+    return CyclicModule(session.p, args.level, rels)
 
 
 def _bounds_from_args(args):
@@ -492,10 +468,7 @@ def cmd_supp(args, session):
     M = _module_from_args(args, session)
     cv = char_variety(M, _bounds_from_args(args))
     levels = args.at_levels or [args.level]
-    rep = micro_support_test(
-        M, levels, window=session.window_floor,
-        precision=session.precision, char=cv,
-    )
+    rep = micro_support_test(M, levels, window=session.window_floor, char=cv)
     verdicts = {
         str(lvl): [
             {"chart": v.chart_class, "verdict": v.verdict, "note": v.note}
@@ -563,16 +536,28 @@ def cmd_normcalc_bounds(args, session):
 # -- argument plumbing --------------------------------------------------------------
 
 
-def _read_config(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
+def _config_tokens(path):
+    """The `key=value` lines of a config file as command-line tokens:
+    `--key=value`, or the bare switch `--key` for `key=true` (`key=false`
+    gives nothing).  Blank lines and `#` comments are skipped."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeError) as exc:
+        raise InvalidParameter(f"cannot read config file {path!r}: {exc}") from exc
+    tokens = []
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition("=")
+        flag = "--" + key.strip().replace("_", "-")
+        val = val.strip()
+        if val.lower() == "true":
+            tokens.append(flag)
+        elif val.lower() != "false":
+            tokens.append(f"{flag}={val}")
+    return tokens
 
 
 def build_parser():
@@ -669,27 +654,18 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
-    if args.config:
-        flag_defaults = {
-            "precision": 20,
-            "window_floor": -12,
-            "max_order": 16,
-            "max_xdeg": 24,
-            "level": 0,
-            "seed": None,
-        }
-        for key, val in _read_config(args.config).items():
-            # explicit command-line flags take priority over the config file
-            if hasattr(args, key) and getattr(args, key) == flag_defaults.get(key):
-                setattr(args, key, int(val))
     try:
+        if args.config:
+            # the config's flags go right after the command, before the
+            # user's own: argparse keeps the last value, so those win
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
         session = Session(
             p=args.p,
-            level=getattr(args, "level", 0),
-            precision=args.precision,
+            level=args.level,
             window_floor=args.window_floor,
-            laurent=getattr(args, "laurent", False),
+            laurent=args.laurent,
         )
         return args.func(args, session)
     except MicrodiffError as exc:

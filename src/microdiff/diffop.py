@@ -23,9 +23,9 @@ from .errors import (
     SearchBoundExceeded,
     ZeroOperator,
 )
-from .padic import divided_lift, level_shift_constant, valuation
+from .padic import divided_lift
 from .polynomials import Poly
-from .pseudopoly import SymbolPoly
+from .pseudopoly import SymbolPoly, rational_level_change
 
 INF = math.inf
 
@@ -267,16 +267,7 @@ class DiffOp:
             self.p, self.m, self.d, {k: c for k, c in self.terms.items() if sum(k) == n}
         )
 
-    def level_shift(self, mprime: int) -> "DiffOp":
-        """Re-express in the level-m' basis over Q (exact, any direction):
-        D^<m><k> = (q_k^(m)!/q_k^(m')!) D^<m'><k>."""
-        out = {}
-        for k, c in self.terms.items():
-            const = Fraction(1)
-            for kj in k:
-                const *= level_shift_constant(kj, self.p, self.m, mprime)
-            out[k] = c.scale(const)
-        return DiffOp(self.p, mprime, self.d, out)
+    level_shift = rational_level_change
 
 
 @dataclass(frozen=True)

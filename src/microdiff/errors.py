@@ -6,7 +6,8 @@ class MicrodiffError(Exception):
 
 
 class InvalidParameter(MicrodiffError):
-    """A prime that is not prime, or a level below 0 (bad user input)."""
+    """Bad user input: a p that is not prime, a level below 0, or a config
+    file that cannot be read."""
 
 
 class LevelMismatch(MicrodiffError):
@@ -50,10 +51,6 @@ class NotInvertibleAtSymbol(MicrodiffError):
 
 class SymbolMismatch(MicrodiffError):
     """The principal symbol is not supported by this localizer."""
-
-
-class DegreeZeroLocalizer(MicrodiffError):
-    """Localizer symbols must have degree >= 1."""
 
 
 class BoundsExhausted(MicrodiffError):

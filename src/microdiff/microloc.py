@@ -6,8 +6,8 @@ A left presentation is   sum b_{k,i}(x) D^<m><k> T^(-i)
 and a right presentation  sum T^(-i) D^<m><k> b_{k,i}(x),
 where T is the theta-tilde operator at levels (m, m').  The order of the
 (k, i) term is |k| - i*n*p^m'.  A value always represents a coset modulo
-terms of order below the window floor L (and p-precision when set); equality
-and all certificates are coset statements.
+terms of order below the window floor L; equality and all certificates are
+coset statements.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .diffop import DiffOp, ThetaTilde, build_theta_tilde
 from .errors import (
     IncompatibleLocalizer,
     LevelMismatch,
+    NotHomogeneous,
     NotInvertibleAtSymbol,
     SymbolMismatch,
 )
@@ -40,7 +41,7 @@ class MicroOp:
 
     __slots__ = (
         "p", "level", "mprime", "theta", "side", "d",
-        "terms", "floor", "precision", "laurent",
+        "terms", "floor", "laurent",
     )
 
     def __init__(
@@ -51,13 +52,14 @@ class MicroOp:
         terms=None,
         side: str = "left",
         floor=-INF,
-        precision=None,
         laurent: bool = False,
     ):
-        if theta.m != 0 or not theta.is_homogeneous() or theta.degree() < 1:
-            raise ValueError("theta must be a level-0 homogeneous symbol, degree >= 1")
+        if theta.m != 0:
+            raise LevelMismatch("theta must be a level-0 symbol")
+        if not theta.is_homogeneous() or theta.degree() < 1:
+            raise NotHomogeneous("theta must be nonzero homogeneous of degree >= 1")
         if not 0 <= level <= mprime:
-            raise ValueError("need 0 <= presentation level <= m'")
+            raise LevelMismatch(f"need 0 <= presentation level <= m', got {level} and {mprime}")
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.p = theta.p
@@ -67,7 +69,6 @@ class MicroOp:
         self.side = side
         self.d = theta.d
         self.floor = floor
-        self.precision = precision
         self.laurent = laurent
         n = theta.degree()
         clean = {}
@@ -101,7 +102,7 @@ class MicroOp:
     def _meta(self):
         return (self.p, self.level, self.mprime, self.theta, self.side, self.d)
 
-    def with_terms(self, terms, floor=None, precision="keep"):
+    def with_terms(self, terms, floor=None):
         return MicroOp(
             self.theta,
             self.level,
@@ -109,14 +110,11 @@ class MicroOp:
             terms,
             self.side,
             self.floor if floor is None else floor,
-            self.precision if precision == "keep" else precision,
             self.laurent,
         )
 
     @classmethod
-    def from_diffop(
-        cls, P: DiffOp, theta: SymbolPoly, mprime: int, floor=-INF, precision=None, laurent=False
-    ):
+    def from_diffop(cls, P: DiffOp, theta: SymbolPoly, mprime: int, floor=-INF, laurent=False):
         if (P.p, P.d) != (theta.p, theta.d):
             raise IncompatibleLocalizer("operator and theta live on different spaces")
         return cls(
@@ -126,13 +124,12 @@ class MicroOp:
             {(k, 0): c for k, c in P.terms.items()},
             "left",
             floor,
-            precision,
             laurent,
         )
 
     @classmethod
-    def one(cls, theta, level, mprime, floor=-INF, **kw):
-        return cls(theta, level, mprime, {((0,) * theta.d, 0): 1}, "left", floor, **kw)
+    def one(cls, theta, level, mprime, floor=-INF, laurent=False):
+        return cls(theta, level, mprime, {((0,) * theta.d, 0): 1}, "left", floor, laurent)
 
     def is_zero(self):
         return not self.terms
@@ -179,9 +176,7 @@ class MicroOp:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, Poly.zero(self.d)) + c
-        floor = max(self.floor, other.floor)
-        prec = _min_prec(self.precision, other.precision)
-        return self.with_terms(out, floor=floor, precision=prec)
+        return self.with_terms(out, floor=max(self.floor, other.floor))
 
     def __neg__(self):
         return self.with_terms({key: -c for key, c in self.terms.items()})
@@ -283,7 +278,7 @@ class MicroOp:
 
     def to_json(self) -> dict:
         return {
-            "schema": "microdiff-microop/1",
+            "schema": "microdiff-microop/2",
             "p": self.p,
             "level": self.level,
             "mprime": self.mprime,
@@ -291,7 +286,6 @@ class MicroOp:
             "side": self.side,
             "laurent": self.laurent,
             "floor": None if self.floor == -INF else self.floor,
-            "precision": self.precision,
             "theta": _poly_terms_json({k: c for k, c in self.theta.terms.items()}),
             "terms": [
                 {"k": list(k), "i": i, "coeff": _poly_json(c)}
@@ -300,7 +294,7 @@ class MicroOp:
         }
 
     @classmethod
-    def from_json(cls, data: dict, p=None) -> "MicroOp":
+    def from_json(cls, data: dict) -> "MicroOp":
         p = data["p"]
         d = data["d"]
         theta = SymbolPoly(
@@ -316,17 +310,8 @@ class MicroOp:
             terms,
             data["side"],
             -INF if data["floor"] is None else data["floor"],
-            data["precision"],
             data["laurent"],
         )
-
-
-def _min_prec(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 def _poly_json(c: Poly):
@@ -441,8 +426,7 @@ def micro_multiply(P: MicroOp, Q: MicroOp) -> MicroOp:
     T = P.localizer().op
     korder = P.localizer_order
     if P.is_zero() or Q.is_zero():
-        floor = max(P.floor, Q.floor)
-        return P.with_terms({}, floor=floor, precision=_min_prec(P.precision, Q.precision))
+        return P.with_terms({}, floor=max(P.floor, Q.floor))
     floor = max(
         (P.floor + Q.order()) if P.floor != -INF else -INF,
         (Q.floor + P.order()) if Q.floor != -INF else -INF,
@@ -464,8 +448,7 @@ def micro_multiply(P: MicroOp, Q: MicroOp) -> MicroOp:
                     key = (k, i)
                     out[key] = out.get(key, Poly.zero(P.d)) + c
     return MicroOp(
-        P.theta, P.level, P.mprime, out, "left", floor,
-        _min_prec(P.precision, Q.precision), P.laurent or Q.laurent,
+        P.theta, P.level, P.mprime, out, "left", floor, P.laurent or Q.laurent
     ).canonical()
 
 
@@ -497,9 +480,7 @@ def convert_presentation(P: MicroOp, target_side: str) -> MicroOp:
                 for kk, c in _right_decompose(D).items():
                     key = (kk, t)
                     out[key] = out.get(key, Poly.zero(P.d)) + c
-    return MicroOp(
-        P.theta, P.level, P.mprime, out, target_side, P.floor, P.precision, P.laurent
-    )
+    return MicroOp(P.theta, P.level, P.mprime, out, target_side, P.floor, P.laurent)
 
 
 # -- inversion --------------------------------------------------------------------
@@ -553,9 +534,7 @@ class InversionReport:
     note: str = ""
 
 
-def invert_theta_tilde(
-    theta: SymbolPoly, level: int, mprime: int, floor, precision=None, laurent=False
-) -> MicroOp:
+def invert_theta_tilde(theta: SymbolPoly, level: int, mprime: int, floor, laurent=False) -> MicroOp:
     """The inverse of the theta-tilde localizer itself, as a single-term
     presentation; coefficient of theta must be a unit on the chart."""
     for c in theta.terms.values():
@@ -567,14 +546,10 @@ def invert_theta_tilde(
             f"theta coefficient {c} is not a unit on the chart"
             + ("" if laurent else " (monomials need a monomial-unit chart)")
         )
-    return MicroOp(
-        theta, level, mprime, {((0,) * theta.d, 1): 1}, "left", floor, precision, laurent
-    )
+    return MicroOp(theta, level, mprime, {((0,) * theta.d, 1): 1}, "left", floor, laurent)
 
 
-def try_invert(
-    P, theta: SymbolPoly, mprime: int, floor, precision=None, laurent=False
-) -> InversionReport:
+def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> InversionReport:
     """Invert P in the microlocalized ring at (P.m, mprime) on D(theta).
 
     P may be a DiffOp or a left-presented MicroOp.  sigma(P) must be a single
@@ -605,7 +580,7 @@ def try_invert(
     # first approximation: monomial S0 of order -w with P*S0 = 1 + (order < 0)
     t = max(0, -(-w // korder))  # ceil(w / korder), at least 0
     ks = t * korder - w
-    S0 = P.with_terms({((ks,), t): 1}, floor=floor, precision=precision)
+    S0 = P.with_terms({((ks,), t): 1}, floor=floor)
     R = micro_multiply(P.truncate(floor), S0)
     gamma = R.order_part(0)
     if list(gamma.keys()) != [((0,) * P.d, 0)]:
@@ -615,7 +590,7 @@ def try_invert(
     if ginv is None:
         raise SymbolMismatch(f"leading coefficient {g} is not invertible on the chart")
     S0 = S0.scale(ginv)
-    one = MicroOp.one(theta, P.level, mprime, floor=floor, precision=precision, laurent=laurent)
+    one = MicroOp.one(theta, P.level, mprime, floor=floor, laurent=laurent)
     e = micro_multiply(P.truncate(floor), S0) - one
     # geometric series (1+e)^(-1) = sum (-e)^t down to the floor
     acc = one
@@ -662,9 +637,7 @@ def change_presentation_level(P: MicroOp, new_level: int) -> MicroOp:
         for kj in k:
             const *= level_shift_constant(kj, P.p, P.level, new_level)
         out[(k, i)] = b.scale(const)
-    return MicroOp(
-        P.theta, new_level, P.mprime, out, P.side, P.floor, P.precision, P.laurent
-    )
+    return MicroOp(P.theta, new_level, P.mprime, out, P.side, P.floor, P.laurent)
 
 
 def psi_level_lower(P: MicroOp, m: int) -> MicroOp:
@@ -733,7 +706,7 @@ def normcalc_bounds(d: int, p: int, m: int, mprime: int, k: int) -> dict:
     d*p^(m'+1) < k, and b_k = 0 for k < p^(m+1).
     """
     if not 0 <= m <= mprime:
-        raise ValueError("need 0 <= m <= m'")
+        raise LevelMismatch(f"need 0 <= m <= m', got m = {m} and m' = {mprime}")
     alphas = {s: alpha_bound(k, s, p, d) for s in range(m, mprime)}
     if d * p ** (mprime + 1) < k:
         a_k = 0

@@ -1,26 +1,19 @@
-"""Exact arithmetic in Z, Q and truncated Q_p with explicit precision.
+"""Exact arithmetic in Z and Q with p-adic valuations.
 
-All structure constants of the divided-power calculus are computed as
-exact rationals first and only then certified / reduced p-adically.
-Exact rationals are plain ``fractions.Fraction`` values (always reduced,
-positive denominator), so no separate wrapper type is needed.
+All structure constants of the divided-power calculus are exact rationals
+(plain ``fractions.Fraction`` values); their p-integrality is read off
+with ``valuation``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IntegralityViolation, InvalidParameter
-
-#: alias used throughout: the carrier for exact structure constants
-ExactRational = Fraction
+from .errors import InvalidParameter
 
 #: sentinel valuation of zero
 INF = math.inf
-
-DEFAULT_PRECISION = 20
 
 
 def is_prime(p: int) -> bool:
@@ -44,6 +37,8 @@ def check_prime_and_level(p: int, m: int) -> None:
 
 def valuation(x, p: int):
     """p-adic valuation of an integer or Fraction; INF for zero."""
+    if p < 2:
+        raise InvalidParameter(f"p = {p} has no valuation (need p >= 2)")
     if x == 0:
         return INF
     if isinstance(x, Fraction):
@@ -88,130 +83,11 @@ def level_shift_constant(k: int, p: int, m: int, mprime: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class PadicScalar:
-    """An element p^e * u of Q_p known modulo p^(e+N).
-
-    ``u`` is a unit reduced mod p^N (coprime to p) and ``N >= 1`` is the
-    relative precision.  Zero is the distinguished value with ``e = INF``;
-    for zero, ``N`` is the absolute precision, so it reads O(p^N) and may
-    be any integer.
-    """
-
-    p: int
-    e: object  # int, or INF for zero
-    u: int
-    N: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if not self.is_zero() and self.N < 1:
-            raise ValueError("precision must be positive")
-        if not self.is_zero() and math.gcd(self.u, self.p) != 1:
-            raise ValueError("unit part not coprime to p")
-
-    @classmethod
-    def zero(cls, p: int, N: int = DEFAULT_PRECISION) -> "PadicScalar":
-        return cls(p, INF, 0, N)
-
-    @classmethod
-    def from_rational(cls, x, p: int, N: int = DEFAULT_PRECISION) -> "PadicScalar":
-        x = Fraction(x)
-        if x == 0:
-            return cls.zero(p, N)
-        e = valuation(x, p)
-        unit = x / Fraction(p) ** e
-        num, den = unit.numerator, unit.denominator
-        mod = p**N
-        u = num * pow(den, -1, mod) % mod
-        return cls(p, e, u, N)
-
-    def is_zero(self) -> bool:
-        return self.e is INF or self.e == INF
-
-    @property
-    def ordp(self):
-        """p-adic valuation, normalized so that ord_p(p) = 1."""
-        return self.e
-
-    def _check(self, other: "PadicScalar"):
-        if self.p != other.p:
-            raise ValueError("prime mismatch")
-
-    def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        N = min(self.N, other.N)
-        if self.is_zero() or other.is_zero():
-            return PadicScalar.zero(self.p, N)
-        mod = self.p**N
-        return PadicScalar(self.p, self.e + other.e, self.u * other.u % mod, N)
-
-    def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        # align at the smaller exponent; absolute precision is the min
-        e = min(self.e, other.e)
-        abs_prec = min(self.e + self.N, other.e + other.N)
-        N = abs_prec - e
-        if N <= 0:
-            # sum indistinguishable from zero at the known precision
-            return PadicScalar.zero(self.p, abs_prec)
-        mod = self.p**N
-        total = (
-            self.u * self.p ** (self.e - e) + other.u * self.p ** (other.e - e)
-        ) % mod
-        if total == 0:
-            return PadicScalar.zero(self.p, abs_prec)
-        v = valuation(total, self.p)
-        return PadicScalar(self.p, e + v, (total // self.p**v) % self.p ** (N - v), N - v)
-
-    def __neg__(self) -> "PadicScalar":
-        if self.is_zero():
-            return self
-        mod = self.p**self.N
-        return PadicScalar(self.p, self.e, (-self.u) % mod, self.N)
-
-    def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        return self + (-other)
-
-    def truncate(self, N: int) -> "PadicScalar":
-        """Forget precision down to N digits."""
-        if self.is_zero():
-            return PadicScalar.zero(self.p, N)
-        N = min(N, self.N)
-        return PadicScalar(self.p, self.e, self.u % self.p**N, N)
-
-    def congruent_to(self, x) -> bool:
-        """Does the exact rational x reduce to this value at this precision?"""
-        x = Fraction(x)
-        if self.is_zero():
-            return x == 0 or valuation(x, self.p) >= self.N
-        other = PadicScalar.from_rational(x, self.p, self.N)
-        return other.e == self.e and (other.u - self.u) % self.p**self.N == 0
-
-    def __str__(self):
-        if self.is_zero():
-            return f"O({self.p}^{self.N})"
-        return f"{self.u}*{self.p}^{self.e} + O({self.p}^{self.e + self.N})"
-
-
-def level_factorial_ratio(p: int, m: int, mprime: int, N: int = DEFAULT_PRECISION) -> PadicScalar:
+def level_factorial_ratio_exact(p: int, m: int, mprime: int) -> Fraction:
     """The constant r_{m,m'} = (p^m'!) * (p^m!)^(-p^j), j = m' - m.
 
     A p-adic integer of valuation (p^j - 1)/(p - 1).
     """
-    r = level_factorial_ratio_exact(p, m, mprime)
-    out = PadicScalar.from_rational(r, p, N)
-    if out.e < 0:
-        raise IntegralityViolation("r_{m,m'} must be a p-adic integer")
-    return out
-
-
-def level_factorial_ratio_exact(p: int, m: int, mprime: int) -> Fraction:
     if not 0 <= m <= mprime:
         raise ValueError("need 0 <= m <= m'")
     j = mprime - m
@@ -236,18 +112,3 @@ def binomial_structure_constant_exact(p: int, m: int, k, kprime) -> Fraction:
             math.factorial(q_part(kj + kpj, p, m)),
         )
     return c
-
-
-def padic_binomial_constant(p: int, m: int, k, kprime, N: int = DEFAULT_PRECISION) -> PadicScalar:
-    """The structure constant of the <m>-divided-power basis, certified p-integral."""
-    c = binomial_structure_constant_exact(p, m, k, kprime)
-    if valuation(c, p) < 0:
-        raise IntegralityViolation(
-            f"structure constant {c} is not p-integral (p={p}, m={m}, k={k}, k'={kprime})"
-        )
-    return PadicScalar.from_rational(c, p, N)
-
-
-def reduce_mod_precision(x, p: int, N: int) -> PadicScalar:
-    """Canonical truncation of an exact rational to a PadicScalar of precision N."""
-    return PadicScalar.from_rational(Fraction(x), p, N)

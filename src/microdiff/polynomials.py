@@ -162,10 +162,6 @@ class Poly:
     def map_coeffs(self, f) -> "Poly":
         return Poly(self.nvars, {e: f(c) for e, c in self.coeffs.items()})
 
-    def frobenius_coeffs(self, q: int) -> "Poly":
-        """Raise each coefficient to the q-th power (exponents untouched)."""
-        return self.map_coeffs(lambda c: c**q)
-
     def mod_p(self, p: int) -> "Poly":
         """Reduce integral coefficients mod p; error on a p in a denominator."""
 
@@ -221,16 +217,6 @@ class Poly:
                 if not num[key]:
                     del num[key]
         return Poly(1, quot)
-
-    def eval(self, point):
-        """Evaluate at a tuple of Fractions (all nonzero if Laurent)."""
-        total = Fraction(0)
-        for exp, c in self.coeffs.items():
-            term = c
-            for e, x in zip(exp, point):
-                term *= Fraction(x) ** e
-            total += term
-        return total
 
     # -- comparison / hashing / display --------------------------------
 

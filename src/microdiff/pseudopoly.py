@@ -265,16 +265,18 @@ def normalize(p: int, m: int, d: int, raw_terms) -> SymbolPoly:
     return SymbolPoly(p, m, d, out)
 
 
-def rational_level_change(f: SymbolPoly, mprime: int) -> SymbolPoly:
-    """The Q-algebra isomorphism to level mprime:
-    xi^<m><k> -> (q_k^(m)! / q_k^(m')!) xi^<m'><k> per coordinate."""
+def rational_level_change(f, mprime: int):
+    """Re-express a SymbolPoly or DiffOp f at level mprime over Q (exact, any
+    direction): xi^<m><k> -> (q_k^(m)! / q_k^(m')!) xi^<m'><k> per coordinate,
+    and likewise D^<m><k>.  On symbols it is the Q-algebra isomorphism to
+    level mprime; ``DiffOp.level_shift`` is this function."""
     out = {}
     for k, c in f.terms.items():
         const = Fraction(1)
         for kj in k:
             const *= level_shift_constant(kj, f.p, f.m, mprime)
         out[k] = c.scale(const)
-    return SymbolPoly(f.p, mprime, f.d, out)
+    return type(f)(f.p, mprime, f.d, out)
 
 
 def theta_variants(theta: SymbolPoly, m: int, mprime: int):
@@ -310,11 +312,6 @@ def theta_variants(theta: SymbolPoly, m: int, mprime: int):
         hi = hi + hi_mono.scale(twisted)
         lo = lo + lo_mono.scale(twisted)
     return hi, lo
-
-
-def integral_digits(k: int, p: int, m: int) -> tuple:
-    """Digits used by mod-p computations; alias of digit_decomposition."""
-    return digit_decomposition(k, p, m)
 
 
 __all__ = [

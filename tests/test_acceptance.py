@@ -149,7 +149,7 @@ def test_criterion_04_normcalc_thresholds():
 
 
 def test_criterion_05_microlocal_inversion():
-    # Ttilde * S = S * Ttilde = 1 in the window L=-20, N=20, for
+    # Ttilde * S = S * Ttilde = 1 in the window L=-20, for
     # Theta in {xi, x*xi (monomial-unit chart)}, all level pairs m <= m' <= 2
     with Budget(5, "microlocal inversion of the localizer", 10):
         for p in (2, 3):
@@ -160,16 +160,16 @@ def test_criterion_05_microlocal_inversion():
                     for mp in range(m, 3):
                         T = build_theta_tilde(theta, m, mp).op
                         rep = try_invert(
-                            T, theta, mp, floor=-20, precision=20, laurent=laurent
+                            T, theta, mp, floor=-20, laurent=laurent
                         )
                         assert rep.ok, (p, str(theta), m, mp, rep.note)
                         assert rep.left_residual_below_floor
                         assert rep.right_residual_below_floor
                         S = invert_theta_tilde(
-                            theta, m, mp, floor=-20, precision=20, laurent=laurent
+                            theta, m, mp, floor=-20, laurent=laurent
                         )
                         TT = MicroOp.from_diffop(
-                            T, theta, mp, floor=-20, precision=20, laurent=laurent
+                            T, theta, mp, floor=-20, laurent=laurent
                         )
                         assert micro_multiply(TT, S) == 1
                         assert micro_multiply(S, TT) == 1

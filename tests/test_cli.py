@@ -225,9 +225,22 @@ class TestBoundary:
         ("char", "--p", "1", "--rel", "d1 - x1"),
         ("char", "--p", "2", "--level", "-1", "--rel", "d1 - x1"),
         ("mul", "--p", "0", "--expr", "d1"),
+        ("invert", "--p", "2", "--expr", "d1 - x1", "--mprime", "-1"),
+        ("mul", "--p", "2", "--expr", "Tinv(xi1,3,1)"),
+        ("invert", "--p", "2", "--expr", "d1", "--mprime", "0", "--theta", "xi1 + 1"),
+        ("invert", "--p", "2", "--expr", "d1", "--mprime", "0", "--theta", "x1"),
+        ("normcalc-bounds", "--p", "2", "--m", "2", "--mprime", "1", "--k", "4"),
+        ("invert", "--p", "2", "--expr", "3", "--mprime", "0"),
+        ("invert", "--p", "2", "--expr", "xi1", "--mprime", "0"),
     ]
 
-    @pytest.mark.parametrize("argv", CASES, ids=["p4", "p1", "level-1", "p0"])
+    @pytest.mark.parametrize(
+        "argv",
+        CASES,
+        ids=["p4", "p1", "level-1", "p0", "mprime-1", "tinv-level-above-mprime",
+             "theta-inhomogeneous", "theta-degree-0", "normcalc-m-above-mprime",
+             "invert-scalar", "invert-symbol"],
+    )
     def test_one_error_line_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_ERROR
@@ -285,4 +298,36 @@ class TestConfig:
         assert code == EXIT_OK
         data = json.loads(out)
         assert data["inverse"]["floor"] == -8
-        assert data["inverse"]["precision"] == 10
+        code, out, _ = run(
+            capsys, "char", "--p", "2", "--rel", "d1 - x1",
+            "--config", str(cfg), "--json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["bounds"]["precision"] == 10
+        # an explicit flag wins over the config file
+        code, out, _ = run(
+            capsys, "invert", "--p", "2", "--expr", "d1 - x1", "--mprime", "0",
+            "--window-floor", "-6", "--config", str(cfg), "--json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["inverse"]["floor"] == -6
+
+    def test_config_switch(self, capsys, tmp_path):
+        # x*d - 1 is invertible only on the punctured (Laurent) chart
+        cfg = tmp_path / "microdiff.cfg"
+        cfg.write_text("laurent=true\n")
+        code, out, _ = run(
+            capsys, "invert", "--p", "2", "--expr", "x1*d1 - 1", "--mprime", "0",
+            "--config", str(cfg), "--json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["ok"]
+
+    def test_unreadable_config_one_error_line(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "char", "--p", "2", "--rel", "d1 - x1",
+            "--config", str(tmp_path / "missing.cfg"),
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

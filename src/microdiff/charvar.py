@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import sympy
 
-from .errors import BoundsExhausted, ZeroOperator
+from .errors import BoundsExhausted, InvalidParameter, LevelMismatch, ZeroOperator
 from .padic import binomial_structure_constant_exact, check_prime_and_level
 from .polynomials import Poly
 from .pseudopoly import digit_decomposition, SymbolPoly
@@ -567,7 +567,11 @@ def verify_counterexample(p: int, n_max: int = 30, deg_bound: int = 3) -> dict:
         deg g_n < n-1 and deg h_n < n, for all n <= n_max;
     (b) the spectral-norm identity |f_n| = max(1, |f_0|) over a test set;
     (c) D^n.e = (x^n + lower).e modulo the left ideal (D - x).
+
+    n_max must be at least 3: check (c) compares D^3.e with (x^3 + 3x).e.
     """
+    if n_max < 3:
+        raise InvalidParameter(f"need n_max >= 3 for the partial-cubed check, got {n_max}")
     x = Poly.var()
     checks = []
 
@@ -644,6 +648,10 @@ def stability_probe(
 ) -> dict:
     """Char and support verdicts for each level m..mprime_max, with the least
     level at which the Char column stabilizes within bounds (empirical N)."""
+    if mprime_max < M.m:
+        raise LevelMismatch(
+            f"need mprime_max >= the module level {M.m}, got {mprime_max}"
+        )
     rows = []
     classes = []
     for mp in range(M.m, mprime_max + 1):

@@ -125,6 +125,10 @@ class _Parser:
         v = self.atom()
         while self.peek()[:2] == ("op", "^"):
             self.take("op", "^")
+            if isinstance(v, MicroOp):
+                raise ExprSyntaxError(
+                    "no powers of micro-operators: write Tinv<w>(...) or an explicit product"
+                )
             neg = False
             if self.peek()[:2] == ("op", "-"):
                 self.take("op", "-")
@@ -132,6 +136,8 @@ class _Parser:
             e = self.take("num")[1]
             if neg:
                 if isinstance(v, (int, Fraction)):
+                    if v == 0 and e:
+                        raise ExprSyntaxError("0 has no negative power")
                     v = Fraction(1, 1) / Fraction(v) ** e
                 else:
                     raise ExprSyntaxError("negative powers need Tinv(...)")
@@ -255,10 +261,7 @@ class _Parser:
         if isinstance(v, (int, Fraction)):
             c = Fraction(v)
             if hi == 1:
-                return SymbolPoly(
-                    self.s.p, other.m, self.s.d,
-                    {(0,) * self.s.d: Poly.const(c, self.s.d)},
-                )
+                return SymbolPoly.scalar(c, self.s.p, other.m, self.s.d)
             if hi == 2:
                 return DiffOp.scalar(c, self.s.p, other.m, self.s.d)
             if hi == 3:

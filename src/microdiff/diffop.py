@@ -25,7 +25,7 @@ from .errors import (
 )
 from .padic import divided_lift
 from .polynomials import Poly
-from .pseudopoly import SymbolPoly, rational_level_change
+from .pseudopoly import SymbolPoly, TermAlgebra, rational_level_change
 
 INF = math.inf
 
@@ -66,39 +66,15 @@ def _derivative(derivs: dict, J) -> Poly:
     return db
 
 
-class DiffOp:
+class DiffOp(TermAlgebra):
     """Sum of a_k(x) * D^<m><k>, a_k Laurent polynomials over Q."""
 
-    __slots__ = ("p", "m", "d", "terms")
+    __slots__ = ()
 
-    def __init__(self, p: int, m: int, d: int, terms=None):
-        self.p = p
-        self.m = m
-        self.d = d
-        clean = {}
-        for k, c in (terms or {}).items():
-            k = tuple(int(e) for e in k)
-            if len(k) != d or any(e < 0 for e in k):
-                raise ValueError(f"bad derivative exponent {k}")
-            if isinstance(c, (int, Fraction)):
-                c = Poly.const(c, d)
-            if not c.is_zero():
-                clean[k] = c
-        self.terms = clean
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, p, m, d=1):
-        return cls(p, m, d, {})
-
-    @classmethod
-    def one(cls, p, m, d=1):
-        return cls(p, m, d, {(0,) * d: Poly.const(1, d)})
-
-    @classmethod
-    def scalar(cls, c, p, m, d=1):
-        return cls(p, m, d, {(0,) * d: Poly.const(c, d)})
+    dx = classmethod(TermAlgebra.basis.__func__)
+    order = TermAlgebra.degree
+    to_plain = TermAlgebra.lifted_terms  # dict k -> Poly with P = sum c_k(x) D^k
+    level_shift = rational_level_change
 
     @classmethod
     def from_poly(cls, a: Poly, p, m):
@@ -108,76 +84,12 @@ class DiffOp:
     def x(cls, p, m, j=0, d=1, power=1):
         return cls(p, m, d, {(0,) * d: Poly.var(j, d, power)})
 
-    @classmethod
-    def dx(cls, p, m, k=1, j=0, d=1):
-        """The basis element D_j^<m><k>."""
-        exp = [0] * d
-        exp[j] = k
-        return cls(p, m, d, {tuple(exp): Poly.const(1, d)})
-
-    # -- views -------------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def order(self):
-        if not self.terms:
-            return -INF
-        return max(sum(k) for k in self.terms)
-
-    def p_valuation(self):
-        if not self.terms:
-            return INF
-        return min(c.p_valuation(self.p) for c in self.terms.values())
-
-    def is_integral(self):
-        return self.is_zero() or self.p_valuation() >= 0
-
-    def coefficient(self, k) -> Poly:
-        return self.terms.get(tuple(k), Poly.zero(self.d))
-
     def max_xdeg(self):
         if not self.terms:
             return -INF
         return max(c.degree(j) for c in self.terms.values() for j in range(self.d))
 
-    # -- additive structure --------------------------------------------------
-
-    def _check(self, other):
-        if (self.p, self.m, self.d) != (other.p, other.m, other.d):
-            raise LevelMismatch(
-                f"(p,m,d)={(self.p, self.m, self.d)} vs {(other.p, other.m, other.d)}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Poly.zero(self.d)) + c
-        return DiffOp(self.p, self.m, self.d, out)
-
-    def __neg__(self):
-        return DiffOp(self.p, self.m, self.d, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = Poly.const(c, self.d)
-        return DiffOp(self.p, self.m, self.d, {k: c * v for k, v in self.terms.items()})
-
     # -- multiplication --------------------------------------------------------
-
-    def to_plain(self) -> dict:
-        """Lift to the plain basis: dict k -> Poly with P = sum c_k(x) D^k."""
-        out = {}
-        for k, c in self.terms.items():
-            const = Fraction(1)
-            for kj in k:
-                const *= divided_lift(kj, self.p, self.m)
-            out[k] = out.get(k, Poly.zero(self.d)) + c.scale(const)
-        return out
 
     @classmethod
     def from_plain(cls, plain: dict, p: int, m: int, d: int) -> "DiffOp":
@@ -198,18 +110,6 @@ class DiffOp:
         return self._from_product(prod, other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out = DiffOp.one(self.p, self.m, self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def commutator(self, other):
         """[self, other] = self*other - other*self in one Leibniz pass.
@@ -233,18 +133,6 @@ class DiffOp:
             raise IntegralityViolation("product of integral operators not integral")
         return out
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = DiffOp.scalar(other, self.p, self.m, self.d)
-        return (
-            isinstance(other, DiffOp)
-            and (self.p, self.m, self.d) == (other.p, other.m, other.d)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.d, frozenset(self.terms.items())))
-
     # -- action, symbols, reductions ---------------------------------------------
 
     def apply(self, f: Poly) -> Poly:
@@ -260,14 +148,7 @@ class DiffOp:
 
     def symbol_exact(self) -> SymbolPoly:
         """Top homogeneous part as a symbol over Q (no mod-p reduction)."""
-        if self.is_zero():
-            return SymbolPoly.zero(self.p, self.m, self.d)
-        n = self.order()
-        return SymbolPoly(
-            self.p, self.m, self.d, {k: c for k, c in self.terms.items() if sum(k) == n}
-        )
-
-    level_shift = rational_level_change
+        return SymbolPoly(self.p, self.m, self.d, self.terms).top_part()
 
 
 @dataclass(frozen=True)
@@ -291,9 +172,7 @@ def order_and_symbol(P: DiffOp) -> OrderSymbol:
     top = P.symbol_exact().mod_p()
     secondary = None
     if top.is_zero():
-        red = DiffOp(
-            P.p, P.m, P.d, {k: c.mod_p(P.p) for k, c in P.terms.items()}
-        )
+        red = P.mod_p()
         if not red.is_zero():
             secondary = (red.order(), red.symbol_exact())
     return OrderSymbol(n, top, secondary)
@@ -386,26 +265,11 @@ def central_level_for(
 
 
 def render_diffop(P: DiffOp) -> str:
-    if P.is_zero():
-        return "0"
-    parts = []
-    for k in sorted(P.terms, key=lambda e: (sum(e), e)):
-        c = P.terms[k]
-        gens = []
-        for j, kj in enumerate(k):
-            if kj == 0:
-                continue
-            if P.m == 0:
-                gens.append(f"d{j + 1}" if kj == 1 else f"d{j + 1}^{kj}")
-            else:
-                gens.append(f"D{j + 1}[{P.m},{kj}]")
-        mono = "*".join(gens)
-        cs = str(c).replace("x", "x1") if P.d == 1 else str(c)
-        if not mono:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(mono)
-        else:
-            cs = f"({cs})" if ("+" in cs or "-" in cs[1:]) else cs
-            parts.append(f"{cs}*{mono}")
-    return " + ".join(parts).replace("+ -", "- ")
+    def gen(j, kj):
+        if P.m:
+            return f"D{j + 1}[{P.m},{kj}]"
+        return f"d{j + 1}" if kj == 1 else f"d{j + 1}^{kj}"
+
+    if P.d == 1:
+        return P.render(gen, lambda c: str(c).replace("x", "x1"))
+    return P.render(gen)

@@ -6,8 +6,8 @@ class MicrodiffError(Exception):
 
 
 class InvalidParameter(MicrodiffError):
-    """Bad user input: a p that is not prime, a level below 0, or a config
-    file that cannot be read."""
+    """Bad user input: a p that is not prime, a level below 0, a count or
+    order out of range, or a config file that cannot be read."""
 
 
 class LevelMismatch(MicrodiffError):

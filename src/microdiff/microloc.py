@@ -19,6 +19,7 @@ from fractions import Fraction
 from .diffop import DiffOp, ThetaTilde, build_theta_tilde
 from .errors import (
     IncompatibleLocalizer,
+    InvalidParameter,
     LevelMismatch,
     NotHomogeneous,
     NotInvertibleAtSymbol,
@@ -703,10 +704,14 @@ def normcalc_bounds(d: int, p: int, m: int, mprime: int, k: int) -> dict:
 
     a_k bounds the p-power needed to make terms of order >= k integral in the
     level-m' presentation; b_k the converse direction.  a_k = 0 once
-    d*p^(m'+1) < k, and b_k = 0 for k < p^(m+1).
+    d*p^(m'+1) < k, and b_k = 0 for k < p^(m+1).  Orders k < 0 need no
+    bound (``membership_intermediate`` treats them as automatic) and are
+    rejected.
     """
     if not 0 <= m <= mprime:
         raise LevelMismatch(f"need 0 <= m <= m', got m = {m} and m' = {mprime}")
+    if k < 0:
+        raise InvalidParameter(f"need an order k >= 0, got {k}")
     alphas = {s: alpha_bound(k, s, p, d) for s in range(m, mprime)}
     if d * p ** (mprime + 1) < k:
         a_k = 0

@@ -10,6 +10,11 @@ Internally everything is stored in the <m><k>-basis (one generator
 xi_j^<m><k> per exponent k, with k! xi^<m><k> = q_k! xi^k under the rational
 lift); the digit presentation (c_0,...,c_m) is available for display and for
 mod-p computations, the two being equal up to explicit p-adic units.
+
+``TermAlgebra`` holds the additive structure that this algebra shares with
+the level-m operator ring of ``diffop``: coefficients on a divided basis,
+sums, scaling, powers, equality, the rational lift and the term renderer.
+``SymbolPoly`` adds the commutative product.
 """
 
 from __future__ import annotations
@@ -68,12 +73,22 @@ def digit_form(k: int, p: int, m: int):
     return digits, u
 
 
-class SymbolPoly:
-    """Element of the level-m pseudo-polynomial algebra in d variables.
+class TermAlgebra:
+    """Finite sum of coeff * prod_j g_j^<m><k_j> over a divided basis g^<m><k>.
 
-    ``terms`` maps exponent multi-indices k (length-d tuples) to Poly
-    coefficients in x_1..x_d; the term is coeff * prod_j xi_j^<m><k_j>.
-    The degree of that term is |k| = sum k_j.
+    The level-m operator ring (``DiffOp``, g = D) and its graded symbol
+    algebra (``SymbolPoly``, g = xi) share this additive structure at fixed
+    (p, m, d); each subclass adds its own product.  ``terms`` maps exponent
+    multi-indices k (length-d tuples of integers >= 0) to nonzero Poly
+    coefficients in x_1..x_d.  The degree (for operators, the order) of a
+    term is |k| = sum k_j.
+
+    ``lifted_terms`` is the rational lift g^<m><k> -> (q_k!/k!) g^k.
+    ``to_plain`` returns it as a dict on ``DiffOp``, because the Leibniz
+    product works on the plain D^k basis directly, and as a level-0
+    ``SymbolPoly`` on ``SymbolPoly``, because on symbols the lift is the
+    Q-algebra map to level 0 and its result is compared and multiplied as a
+    symbol.  Instances are never changed in place.
     """
 
     __slots__ = ("p", "m", "d", "terms")
@@ -90,8 +105,8 @@ class SymbolPoly:
             if isinstance(c, (int, Fraction)):
                 c = Poly.const(c, d)
             if not c.is_zero():
-                clean[k] = clean.get(k, Poly.zero(d)) + c if k in clean else c
-        self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
+                clean[k] = c
+        self.terms = clean
 
     # -- constructors ---------------------------------------------------
 
@@ -104,8 +119,12 @@ class SymbolPoly:
         return cls(p, m, d, {(0,) * d: Poly.const(1, d)})
 
     @classmethod
-    def xi(cls, p, m, k=1, j=0, d=1):
-        """The basis element xi_j^<m><k>."""
+    def scalar(cls, c, p, m, d=1):
+        return cls(p, m, d, {(0,) * d: Poly.const(c, d)})
+
+    @classmethod
+    def basis(cls, p, m, k=1, j=0, d=1):
+        """The basis element g_j^<m><k>."""
         exp = [0] * d
         exp[j] = k
         return cls(p, m, d, {tuple(exp): Poly.const(1, d)})
@@ -120,27 +139,24 @@ class SymbolPoly:
             return -INF
         return max(sum(k) for k in self.terms)
 
-    def homogeneous_part(self, n):
-        return SymbolPoly(
-            self.p, self.m, self.d, {k: c for k, c in self.terms.items() if sum(k) == n}
-        )
-
-    def is_homogeneous(self):
-        degs = {sum(k) for k in self.terms}
-        return len(degs) <= 1
-
-    def top_part(self):
-        return self.homogeneous_part(self.degree()) if self.terms else self
-
     def p_valuation(self):
         if not self.terms:
             return INF
         return min(c.p_valuation(self.p) for c in self.terms.values())
 
+    def is_integral(self):
+        return self.is_zero() or self.p_valuation() >= 0
+
     def coefficient(self, k) -> Poly:
         return self.terms.get(tuple(k), Poly.zero(self.d))
 
-    # -- ring operations ---------------------------------------------------
+    def mod_p(self):
+        """Coefficient-wise reduction mod p (requires p-integrality)."""
+        return type(self)(
+            self.p, self.m, self.d, {k: c.mod_p(self.p) for k, c in self.terms.items()}
+        )
+
+    # -- additive structure ------------------------------------------------
 
     def _check(self, other):
         if (self.p, self.m, self.d) != (other.p, other.m, other.d):
@@ -153,10 +169,10 @@ class SymbolPoly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, Poly.zero(self.d)) + c
-        return SymbolPoly(self.p, self.m, self.d, out)
+        return type(self)(self.p, self.m, self.d, out)
 
     def __neg__(self):
-        return SymbolPoly(self.p, self.m, self.d, {k: -c for k, c in self.terms.items()})
+        return type(self)(self.p, self.m, self.d, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -164,7 +180,81 @@ class SymbolPoly:
     def scale(self, c):
         if isinstance(c, (int, Fraction)):
             c = Poly.const(c, self.d)
-        return SymbolPoly(self.p, self.m, self.d, {k: c * v for k, v in self.terms.items()})
+        return type(self)(self.p, self.m, self.d, {k: c * v for k, v in self.terms.items()})
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power")
+        out = type(self).one(self.p, self.m, self.d)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = type(self).scalar(other, self.p, self.m, self.d)
+        return (
+            type(other) is type(self)
+            and (self.p, self.m, self.d) == (other.p, other.m, other.d)
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.m, self.d, frozenset(self.terms.items())))
+
+    # -- rational lift and rendering -----------------------------------------
+
+    def lifted_terms(self) -> dict:
+        """Image under g^<m><k> -> (q_k!/k!) g^k, as a dict k -> Poly."""
+        out = {}
+        for k, c in self.terms.items():
+            const = Fraction(1)
+            for kj in k:
+                const *= divided_lift(kj, self.p, self.m)
+            out[k] = out.get(k, Poly.zero(self.d)) + c.scale(const)
+        return out
+
+    def render(self, gen, coeff=str) -> str:
+        """Terms by (degree, k), each coeff(c)*gen(j, k_j)*... over k_j != 0."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for k in sorted(self.terms, key=lambda e: (sum(e), e)):
+            mono = "*".join(gen(j, kj) for j, kj in enumerate(k) if kj)
+            cs = coeff(self.terms[k])
+            if not mono:
+                parts.append(cs)
+            elif cs == "1":
+                parts.append(mono)
+            else:
+                cs = f"({cs})" if ("+" in cs or "-" in cs[1:]) else cs
+                parts.append(f"{cs}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+class SymbolPoly(TermAlgebra):
+    """Element of the level-m pseudo-polynomial algebra in d variables:
+    a sum of coeff * prod_j xi_j^<m><k_j>."""
+
+    __slots__ = ()
+
+    xi = classmethod(TermAlgebra.basis.__func__)
+
+    def is_homogeneous(self):
+        degs = {sum(k) for k in self.terms}
+        return len(degs) <= 1
+
+    def top_part(self):
+        if not self.terms:
+            return self
+        n = self.degree()
+        return SymbolPoly(
+            self.p, self.m, self.d, {k: c for k, c in self.terms.items() if sum(k) == n}
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -181,67 +271,18 @@ class SymbolPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        out = SymbolPoly.one(self.p, self.m, self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SymbolPoly.one(self.p, self.m, self.d).scale(other)
-        return (
-            isinstance(other, SymbolPoly)
-            and (self.p, self.m, self.d) == (other.p, other.m, other.d)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.d, frozenset(self.terms.items())))
-
-    def mod_p(self):
-        """Coefficient-wise reduction mod p (requires p-integrality)."""
-        return SymbolPoly(
-            self.p, self.m, self.d, {k: c.mod_p(self.p) for k, c in self.terms.items()}
-        )
-
-    # -- rational lift -----------------------------------------------------
-
     def to_plain(self) -> "SymbolPoly":
         """Image under xi^<m><k> -> (q_k!/k!) xi^k, as a level-0 SymbolPoly."""
-        out = {}
-        for k, c in self.terms.items():
-            const = Fraction(1)
-            for kj in k:
-                const *= divided_lift(kj, self.p, self.m)
-            out[k] = out.get(k, Poly.zero(self.d)) + c.scale(const)
-        return SymbolPoly(self.p, 0, self.d, out)
+        return SymbolPoly(self.p, 0, self.d, self.lifted_terms())
+
+    def _gen(self, j, kj):
+        name = "xi" if self.d == 1 else f"xi_{j}"
+        if self.m:
+            return f"{name}{self.m}[{kj}]"
+        return f"{name}^{kj}" if kj > 1 else name
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[k]
-            gens = []
-            for j, kj in enumerate(k):
-                if kj:
-                    name = "xi" if self.d == 1 else f"xi_{j}"
-                    gens.append(f"{name}{self.m}[{kj}]" if self.m else f"{name}^{kj}" if kj > 1 else name)
-            mono = "*".join(gens)
-            cs = str(c)
-            if not mono:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mono)
-            else:
-                cs = f"({cs})" if ("+" in cs or "-" in cs[1:]) else cs
-                parts.append(f"{cs}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return self.render(self._gen)
 
     __repr__ = __str__
 
@@ -315,6 +356,7 @@ def theta_variants(theta: SymbolPoly, m: int, mprime: int):
 
 
 __all__ = [
+    "TermAlgebra",
     "SymbolPoly",
     "normalize",
     "rational_level_change",

@@ -1,8 +1,12 @@
 """CLI: grammar, command behavior, exit codes, JSON output, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from microdiff.cli import (
     EXIT_ERROR,
@@ -232,6 +236,11 @@ class TestBoundary:
         ("normcalc-bounds", "--p", "2", "--m", "2", "--mprime", "1", "--k", "4"),
         ("invert", "--p", "2", "--expr", "3", "--mprime", "0"),
         ("invert", "--p", "2", "--expr", "xi1", "--mprime", "0"),
+        ("verify-counterexample", "--p", "2", "--nmax", "2"),
+        ("normcalc-bounds", "--p", "2", "--m", "0", "--mprime", "1", "--k", "-4"),
+        ("stability", "--p", "2", "--rel", "d1 - x1", "--mprime-max", "-1"),
+        ("mul", "--p", "2", "--expr", "Tinv(xi1,0,0)^2"),
+        ("mul", "--p", "2", "--expr", "0^-1"),
     ]
 
     @pytest.mark.parametrize(
@@ -239,13 +248,53 @@ class TestBoundary:
         CASES,
         ids=["p4", "p1", "level-1", "p0", "mprime-1", "tinv-level-above-mprime",
              "theta-inhomogeneous", "theta-degree-0", "normcalc-m-above-mprime",
-             "invert-scalar", "invert-symbol"],
+             "invert-scalar", "invert-symbol", "nmax-below-3", "normcalc-k-negative",
+             "stability-mprime-below-level", "microop-power", "zero-negative-power"],
     )
     def test_one_error_line_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_ERROR
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# -- random expressions through main ----------------------------------------------
+
+
+ATOMS = st.sampled_from([
+    "d1", "x1", "xi1", "0", "1", "2", "3", "p", "D1[1,2]",
+    "Tinv(xi1,0,0)", "Tinv2(xi1,1,2)", "(d1 - x1)",
+])
+EXPRS = st.recursive(
+    ATOMS,
+    lambda inner: st.one_of(
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*"), inner),
+        st.builds("{}^{}".format, inner, st.sampled_from([-1, 0, 1, 2, 3])),
+    ),
+    max_leaves=4,
+)
+COMMANDS = [
+    ("mul",),
+    ("invert", "--mprime", "0", "--window-floor", "-4"),
+    ("psi", "--m", "0"),
+]
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @example(COMMANDS[0], 2, "Tinv(xi1,0,0)^2")
+    @example(COMMANDS[0], 2, "0^-1")
+    @given(st.sampled_from(COMMANDS), st.sampled_from([2, 3]), EXPRS)
+    def test_exit_code_without_traceback(self, command, p, expr):
+        argv = [command[0], "--p", str(p), "--expr", expr, *command[1:]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_ERROR, EXIT_PARTIAL)
+        assert "Traceback" not in err.getvalue()
 
 
 # -- determinism ------------------------------------------------------------------

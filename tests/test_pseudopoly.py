@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microdiff.diffop import DiffOp, render_diffop
 from microdiff.padic import divided_lift, level_factorial_ratio_exact, valuation
 from microdiff.errors import LevelMismatch, NotHomogeneous
 from microdiff.polynomials import Poly
@@ -104,6 +105,11 @@ class TestMultiply:
         with pytest.raises(LevelMismatch):
             SymbolPoly.xi(2, 0) * SymbolPoly.xi(2, 1)
 
+    def test_negative_power_rejected(self):
+        # square-and-multiply on n = -1 never ends, since -1 >> 1 == -1
+        with pytest.raises(ValueError):
+            SymbolPoly.xi(2, 0) ** -1
+
     def test_agrees_with_plain_lift(self):
         for p, m in [(2, 1), (2, 2), (3, 1)]:
             for k1 in range(7):
@@ -133,6 +139,39 @@ class TestMultiply:
         f, g, h = rand_sym(), rand_sym(), rand_sym()
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
+
+
+class TestTermAlgebra:
+    """The structure SymbolPoly shares with DiffOp."""
+
+    TERMS2 = {(1, 2): Poly.var(0, 2) + Poly.const(1, 2), (0, 0): 3,
+              (2, 0): Poly.var(1, 2).scale(-1), (0, 1): Poly.var(0, 2).scale(Fraction(1, 2))}
+    TERMS1 = {(3,): Poly.var() + Poly.const(-1), (0,): -2, (1,): Poly.var()}
+
+    def test_symbol_rendering(self):
+        assert str(SymbolPoly(2, 0, 2, self.TERMS2)) == (
+            "3 + 1/2*x1*xi_1 - x2*xi_0^2 + (1 + x1)*xi_0*xi_1^2")
+        assert str(SymbolPoly(3, 0, 1, self.TERMS1)) == "-2 + x*xi + (-1 + x)*xi^3"
+        assert str(SymbolPoly(3, 1, 1, self.TERMS1)) == "-2 + x*xi1[1] + (-1 + x)*xi1[3]"
+        assert str(SymbolPoly.zero(2, 0)) == "0"
+
+    def test_operator_rendering(self):
+        assert render_diffop(DiffOp(2, 0, 2, self.TERMS2)) == (
+            "3 + 1/2*x1*d2 - x2*d1^2 + (1 + x1)*d1*d2^2")
+        assert render_diffop(DiffOp(2, 1, 2, self.TERMS2)) == (
+            "3 + 1/2*x1*D2[1,1] - x2*D1[1,2] + (1 + x1)*D1[1,1]*D2[1,2]")
+        assert render_diffop(DiffOp(3, 1, 1, self.TERMS1)) == (
+            "-2 + x1*D1[1,1] + (-1 + x1)*D1[1,3]")
+
+    def test_equality_keeps_the_ring(self):
+        assert DiffOp.dx(2, 0) != SymbolPoly.xi(2, 0)
+        assert SymbolPoly.xi(2, 0) != DiffOp.dx(2, 0)
+        assert SymbolPoly.one(2, 0) == 1 and SymbolPoly.xi(2, 0) != 0
+
+    def test_to_plain_shapes(self):
+        f = SymbolPoly(2, 1, 1, self.TERMS1)
+        assert f.to_plain().m == 0
+        assert DiffOp(2, 1, 1, self.TERMS1).to_plain() == f.to_plain().terms
 
 
 class TestRationalLevelChange:

@@ -164,6 +164,19 @@ def _ecart(g: DiffOp, n: int, f: Poly):
     return (g.order() - n, g.max_xdeg() - f.degree())
 
 
+def _shifted(g: DiffOp, ng: int, fg: Poly, n: int, deg: int):
+    """x^s D^<m><a> g, whose mod-p leading term has order n and x-degree deg
+    (a = n - ng, s = deg - deg fg), and the unit mod p of that leading
+    term's coefficient, c(a, ng) * lc(fg)."""
+    p, m = g.p, g.m
+    a, s = n - ng, deg - fg.degree()
+    mono = DiffOp.dx(p, m, a) if a else DiffOp.one(p, m)
+    if s:
+        mono = DiffOp.x(p, m, power=s) * mono
+    c = binomial_structure_constant_exact(p, m, (a,), (ng,))
+    return mono * g, _frac_mod(c * _lc(fg), p)
+
+
 def _normal_form(P: DiffOp, basis, bounds: Bounds):
     """Mora-style reduction against the basis, clearing p-content as it
     appears; intermediate remainders join the reducer set so local-ordering
@@ -216,14 +229,8 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
         # p-content division can revisit a leading term, and the stored copy
         # then cancels it exactly instead of cycling
         extra.append((P, (n, f)))
-        a, s = n - ng, f.degree() - fg.degree()
-        # leading coefficient of x^s D^<m,a> g is c(a, ng) * lc(fg) mod p
-        c = binomial_structure_constant_exact(p, P.m, (a,), (ng,))
-        lam = _frac_mod(_lc(f), p) * pow(_frac_mod(c * _lc(fg), p), -1, p) % p
-        mono = DiffOp.dx(p, P.m, a) if a else DiffOp.one(p, P.m)
-        if s:
-            mono = DiffOp.x(p, P.m, power=s) * mono
-        red = mono * g
+        red, u = _shifted(g, ng, fg, n, f.degree())
+        lam = _frac_mod(_lc(f), p) * pow(u, -1, p) % p
         # both mod-p lifts of the cancellation factor kill the leading term;
         # keep whichever leaves more p-content behind (exact zero preferred)
         P1 = P - red.scale(lam)
@@ -309,17 +316,8 @@ def order_standard_basis(M: CyclicModule, bounds: Bounds = Bounds()) -> OrderSta
                 ):
                     continue
                 D = max(fg.degree(), fh.degree())
-
-                def half(op, nop, fop):
-                    aa, ss = n - nop, D - fop.degree()
-                    mono = DiffOp.dx(p, m, aa) if aa else DiffOp.one(p, m)
-                    if ss:
-                        mono = DiffOp.x(p, m, power=ss) * mono
-                    c = binomial_structure_constant_exact(p, m, (aa,), (nop,))
-                    return mono * op, _frac_mod(c * _lc(fop), p)
-
-                Sg, ug = half(g, ng, fg)
-                Sh, uh = half(h, nh, fh)
+                Sg, ug = _shifted(g, ng, fg, n, D)
+                Sh, uh = _shifted(h, nh, fh, n, D)
                 S = Sg.scale(uh) - Sh.scale(ug)
             R = _normal_form(S, basis, bounds)
         except BoundsExhausted as exc:
@@ -356,12 +354,6 @@ def order_standard_basis(M: CyclicModule, bounds: Bounds = Bounds()) -> OrderSta
 
 
 _X = sympy.Symbol("x")
-
-
-def _poly_to_sympy(f: Poly):
-    return sympy.Poly(
-        {e: c for (e,), c in f.coeffs.items()}, _X, domain=sympy.QQ
-    )
 
 
 def _sympy_to_str(g) -> str:
@@ -459,7 +451,7 @@ class SupportVerdict:
     chart_class: str  # "generic" or "fiber[<factor>]"
     verdict: str  # "Vanishes" | "PersistsUpToWindow"
     note: str = ""
-    betas: tuple = ()
+    betas: tuple = ()  # (order, beta) pairs by descending order
 
 
 def _degenerate_fiber_factors(P: DiffOp):
@@ -507,14 +499,14 @@ def micro_support_test(
                         SupportVerdict(
                             level, "generic", "Vanishes",
                             "two-sided inverse with residual certificate",
-                            tuple(rep.profile.betas),
+                            rep.profile.pairs(),
                         )
                     )
                 else:
                     verdicts.append(
                         SupportVerdict(
                             level, "generic", "PersistsUpToWindow",
-                            rep.note, tuple(rep.profile.betas),
+                            rep.note, rep.profile.pairs(),
                         )
                     )
             except (SymbolMismatch, NotInvertibleAtSymbol, ZeroOperator) as exc:

@@ -43,6 +43,10 @@ EXIT_PARTIAL = 2
 
 # -- expression parser --------------------------------------------------------------
 
+# Parentheses and unary minus signs nest at most this deep; each level costs
+# a few Python frames in the recursive descent below.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()\[\],=]))"
 )
@@ -84,6 +88,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.s = session
 
     def peek(self):
@@ -118,10 +123,20 @@ class _Parser:
             v = self._mul(v, self.factor())
         return v
 
+    def nested(self, parse):
+        """parse() one nesting level deeper; too deep is a syntax error, not
+        a RecursionError."""
+        if self.depth >= MAX_NESTING:
+            raise ExprSyntaxError("expression nested too deeply")
+        self.depth += 1
+        v = parse()
+        self.depth -= 1
+        return v
+
     def factor(self):
         if self.peek()[:2] == ("op", "-"):
             self.take("op", "-")
-            return -self.factor()
+            return -self.nested(self.factor)
         v = self.atom()
         while self.peek()[:2] == ("op", "^"):
             self.take("op", "^")
@@ -151,7 +166,7 @@ class _Parser:
             return self.take("num")[1]
         if tok[:2] == ("op", "("):
             self.take("op", "(")
-            v = self.expr()
+            v = self.nested(self.expr)
             self.take("op", ")")
             return v
         if tok[0] == "name":
@@ -204,8 +219,10 @@ class _Parser:
         self.take("op", "(")
         was = self.s.symbol_mode
         self.s.symbol_mode = True
-        theta = self.expr()
-        self.s.symbol_mode = was
+        try:
+            theta = self.nested(self.expr)
+        finally:
+            self.s.symbol_mode = was
         if isinstance(theta, (int, Fraction)):
             raise ExprSyntaxError("Tinv needs a symbol, not a scalar")
         args = []
@@ -329,8 +346,6 @@ def _json_value(v):
 def _emit(args, payload, exit_code):
     payload = dict(payload)
     payload["schema"] = SCHEMA
-    if args.seed is not None:
-        payload["seed"] = args.seed
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -412,7 +427,7 @@ def cmd_invert(args, session):
         "p": session.p,
         "ok": rep.ok,
         "note": rep.note,
-        "betas": list(rep.profile.betas),
+        "betas": [list(pair) for pair in rep.profile.pairs()],
         "bounded": rep.profile.bounded,
         "left_residual_below_floor": rep.left_residual_below_floor,
         "right_residual_below_floor": rep.right_residual_below_floor,
@@ -577,7 +592,6 @@ def build_parser():
         sp.add_argument("--max-order", type=int, default=16, dest="max_order")
         sp.add_argument("--max-xdeg", type=int, default=24, dest="max_xdeg")
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--config", default=None)
         sp.add_argument("--level", type=int, default=0, help="working level m")
         sp.add_argument("--laurent", action="store_true",

@@ -18,14 +18,13 @@ from fractions import Fraction
 from .errors import (
     IntegralityViolation,
     LevelMismatch,
-    NotHomogeneous,
     NotIntegral,
     SearchBoundExceeded,
     ZeroOperator,
 )
 from .padic import divided_lift
 from .polynomials import Poly
-from .pseudopoly import SymbolPoly, TermAlgebra, rational_level_change
+from .pseudopoly import SymbolPoly, TermAlgebra, rational_level_change, theta_variants
 
 INF = math.inf
 
@@ -201,47 +200,30 @@ def reduce_mod(P: DiffOp, i: int) -> DiffOp:
 class ThetaTilde:
     """The lift of a theta symbol to a differential operator localizer."""
 
-    side: str  # "left" | "right"
     op: DiffOp
-    theta: SymbolPoly  # level-0 homogeneous symbol
-    m: int
-    mprime: int
-    n: int  # degree of theta
-
-    @property
-    def order(self):
-        return self.n * self.theta.p**self.mprime
+    order: int  # n * p^m', for theta of degree n
 
 
 @functools.lru_cache(maxsize=64)
 def build_theta_tilde(theta: SymbolPoly, m: int, mprime: int, side: str = "left") -> ThetaTilde:
-    """Theta-tilde at levels (m, m'): sum over terms a_k xi^k of theta of
-    a_k^(p^m') times prod_j (D_j^<m><p^m>)^(k_j p^(m'-m)), coefficient on the
-    requested side.
+    """Theta-tilde at levels (m, m'): the symbol Theta^(m,m') of
+    ``theta_variants``, sum_K c_K xi^<m><K>, lifted term by term with each
+    coefficient on the requested side: c_K D^<m><K> on the left (the
+    localizer of the microlocal ring), D^<m><K> c_K on the right.
 
     Cached: every argument is hashable, and neither SymbolPoly nor DiffOp is
     ever changed in place."""
-    if theta.m != 0:
-        raise LevelMismatch("theta must be a level-0 symbol")
-    if theta.is_zero() or not theta.is_homogeneous() or theta.degree() < 1:
-        raise NotHomogeneous("theta must be nonzero homogeneous of degree >= 1")
-    if not 0 <= m <= mprime:
-        raise ValueError("need 0 <= m <= m'")
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+    _, lo = theta_variants(theta, m, mprime)
     p, d = theta.p, theta.d
-    n = theta.degree()
-    q = p**mprime
-    j = mprime - m
-    total = DiffOp.zero(p, m, d)
-    for k, a in theta.terms.items():
-        mono = DiffOp.one(p, m, d)
-        for coord, kj in enumerate(k):
-            if kj:
-                mono = mono * DiffOp.dx(p, m, p**m, coord, d) ** (kj * p**j)
-        coeff = DiffOp.from_poly(a**q, p, m)
-        total = total + (coeff * mono if side == "left" else mono * coeff)
-    return ThetaTilde(side, total, theta, m, mprime, n)
+    if side == "left":
+        op = DiffOp(p, m, d, lo.terms)
+    elif side == "right":
+        op = DiffOp.zero(p, m, d)
+        for K, c in lo.terms.items():
+            op = op + DiffOp(p, m, d, {K: Poly.const(1, d)}) * DiffOp.from_poly(c, p, m)
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    return ThetaTilde(op, lo.degree())
 
 
 def central_level_for(
@@ -256,7 +238,7 @@ def central_level_for(
         for s in range(m + 1):
             gens.append(DiffOp.dx(p, m, p**s, j, d))
     for mprime in range(m, search_bound + 1):
-        tt = build_theta_tilde(theta, m, mprime, "left").op
+        tt = build_theta_tilde(theta, m, mprime).op
         if all(tt.commutator(g).p_valuation() >= i + 1 for g in gens):
             return mprime
     raise SearchBoundExceeded(

@@ -4,10 +4,12 @@ and membership tests for the intermediate rings.
 
 A left presentation is   sum b_{k,i}(x) D^<m><k> T^(-i)
 and a right presentation  sum T^(-i) D^<m><k> b_{k,i}(x),
-where T is the theta-tilde operator at levels (m, m').  The order of the
-(k, i) term is |k| - i*n*p^m'.  A value always represents a coset modulo
-terms of order below the window floor L; equality and all certificates are
-coset statements.
+where T is the theta-tilde localizer at levels (m, m'): the left lift
+sum c_K D^<m><K> of the symbol Theta^(m,m') = sum c_K xi^<m><K>.  Both
+presentations invert this same T.  The order of the (k, i) term is
+|k| - i*n*p^m'.  A value always represents a coset modulo terms of order
+below the window floor L; equality and all certificates are coset
+statements.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from .errors import (
     IncompatibleLocalizer,
     InvalidParameter,
     LevelMismatch,
-    NotHomogeneous,
     NotInvertibleAtSymbol,
     SymbolMismatch,
 )
 from .padic import level_factorial_ratio_exact, level_shift_constant, valuation
 from .polynomials import Poly
-from .pseudopoly import SymbolPoly
+from .pseudopoly import SymbolPoly, check_theta
 
 INF = math.inf
 
@@ -55,12 +56,7 @@ class MicroOp:
         floor=-INF,
         laurent: bool = False,
     ):
-        if theta.m != 0:
-            raise LevelMismatch("theta must be a level-0 symbol")
-        if not theta.is_homogeneous() or theta.degree() < 1:
-            raise NotHomogeneous("theta must be nonzero homogeneous of degree >= 1")
-        if not 0 <= level <= mprime:
-            raise LevelMismatch(f"need 0 <= presentation level <= m', got {level} and {mprime}")
+        check_theta(theta, level, mprime)
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.p = theta.p
@@ -98,7 +94,7 @@ class MicroOp:
         return self.n * self.p**self.mprime
 
     def localizer(self) -> ThetaTilde:
-        return build_theta_tilde(self.theta, self.level, self.mprime, self.side)
+        return build_theta_tilde(self.theta, self.level, self.mprime)
 
     def _meta(self):
         return (self.p, self.level, self.mprime, self.theta, self.side, self.d)
@@ -454,33 +450,31 @@ def micro_multiply(P: MicroOp, Q: MicroOp) -> MicroOp:
 
 
 def convert_presentation(P: MicroOp, target_side: str) -> MicroOp:
-    """Rewrite on the other side; same coset up to the window floor."""
+    """Rewrite on the other side; same coset up to the window floor.
+
+    Both presentations invert the same localizer T, the left lift of theta
+    (``MicroOp.localizer``).  A right term T^(-i) D^<m><k> b becomes left by
+    pushing T^(-i) past D^<m><k> b in the signed pass; a left term
+    b D^<m><k> T^(-i) becomes right by pushing T^(-i) the other way in the
+    unsigned pass and right-decomposing the numerators.
+    """
     if target_side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if P.side == target_side:
         return P
-    T_left = build_theta_tilde(P.theta, P.level, P.mprime, "left").op
-    T_right = build_theta_tilde(P.theta, P.level, P.mprime, "right").op
-    korder = P.localizer_order
+    T = P.localizer().op
+    to_left = target_side == "left"
     out = {}
-    memo = {}  # ad_T memo for this call; one localizer per direction
-    if target_side == "left":
-        # input right: T^(-i) D^<k> b  ->  push T^(-i) through
-        for (k, i), b in P.terms.items():
+    memo = {}  # ad_T memo for this call
+    for (k, i), b in P.terms.items():
+        if to_left:
             Q = DiffOp(P.p, P.level, P.d, {k: Poly.const(1, P.d)}) * DiffOp.from_poly(b, P.p, P.level)
-            for t, D in _push(T_right, i, Q, P.floor, korder, True, memo).items():
-                for kk, c in D.terms.items():
-                    key = (kk, t)
-                    out[key] = out.get(key, Poly.zero(P.d)) + c
-    else:
-        # input left: b D^<k> T^(-i)  ->  push T^(-i) to the left, then
-        # right-decompose the numerators
-        for (k, i), b in P.terms.items():
+        else:
             Q = DiffOp(P.p, P.level, P.d, {k: b})
-            for t, D in _push(T_left, i, Q, P.floor, korder, False, memo).items():
-                for kk, c in _right_decompose(D).items():
-                    key = (kk, t)
-                    out[key] = out.get(key, Poly.zero(P.d)) + c
+        for t, D in _push(T, i, Q, P.floor, P.localizer_order, to_left, memo).items():
+            for kk, c in (D.terms if to_left else _right_decompose(D)).items():
+                key = (kk, t)
+                out[key] = out.get(key, Poly.zero(P.d)) + c
     return MicroOp(P.theta, P.level, P.mprime, out, target_side, P.floor, P.laurent)
 
 
@@ -494,6 +488,10 @@ class ConvergenceProfile:
     betas: dict  # order -> max exponent of |coefficient|
     bounded: bool
     note: str = ""
+
+    def pairs(self) -> tuple:
+        """The (order, beta) pairs by descending order."""
+        return tuple(sorted(self.betas.items(), reverse=True))
 
 
 def validate_convergence(P: MicroOp) -> ConvergenceProfile:

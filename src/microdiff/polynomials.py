@@ -74,16 +74,6 @@ class Poly:
             return -INF
         return max(exp[j] for exp in self.coeffs)
 
-    def low_degree(self, j: int = 0):
-        if not self.coeffs:
-            return INF
-        return min(exp[j] for exp in self.coeffs)
-
-    def total_degree(self):
-        if not self.coeffs:
-            return -INF
-        return max(sum(exp) for exp in self.coeffs)
-
     def p_valuation(self, p: int):
         """min_k v_p(coefficient); the Gauss norm is p^(-this). INF for 0."""
         if not self.coeffs:
@@ -172,13 +162,6 @@ class Poly:
             return Fraction(num % p)
 
         return self.map_coeffs(red)
-
-    def clear_p_content(self, p: int):
-        """Divide out the p-content; returns (primitive part, content exponent)."""
-        v = self.p_valuation(p)
-        if v is INF or v == 0:
-            return self, 0
-        return self.scale(Fraction(1, p**v) if v > 0 else Fraction(p ** (-v))), v
 
     def divide_exact(self, other: "Poly", laurent: bool = False):
         """Exact quotient self/other, or None.

@@ -320,6 +320,17 @@ def rational_level_change(f, mprime: int):
     return type(f)(f.p, mprime, f.d, out)
 
 
+def check_theta(theta: SymbolPoly, m: int, mprime: int):
+    """Reject what cannot be a localizer symbol at levels (m, m'): theta must
+    be a nonzero homogeneous level-0 symbol of degree >= 1, and 0 <= m <= m'."""
+    if theta.m != 0:
+        raise LevelMismatch("theta must be a level-0 symbol")
+    if theta.is_zero() or not theta.is_homogeneous() or theta.degree() < 1:
+        raise NotHomogeneous("theta must be nonzero homogeneous of degree >= 1")
+    if not 0 <= m <= mprime:
+        raise LevelMismatch(f"need 0 <= m <= m', got m = {m} and m' = {mprime}")
+
+
 def theta_variants(theta: SymbolPoly, m: int, mprime: int):
     """(Theta^(m'), Theta^(m,m')) built from a level-0 homogeneous symbol.
 
@@ -327,15 +338,7 @@ def theta_variants(theta: SymbolPoly, m: int, mprime: int):
     Theta^(m,m') = the same expression read at level m; satisfies
     Theta^(m,m') = r_{m,m'}^n * Theta^(m') under rational_level_change.
     """
-    if theta.m != 0:
-        raise LevelMismatch("theta must be given at level 0")
-    if not 0 <= m <= mprime:
-        raise ValueError("need 0 <= m <= m'")
-    if theta.is_zero() or not theta.is_homogeneous():
-        raise NotHomogeneous("theta must be nonzero homogeneous")
-    n = theta.degree()
-    if n < 1:
-        raise NotHomogeneous("theta must have degree >= 1")
+    check_theta(theta, m, mprime)
     p, d = theta.p, theta.d
     q = p**mprime
     j = mprime - m
@@ -360,6 +363,7 @@ __all__ = [
     "SymbolPoly",
     "normalize",
     "rational_level_change",
+    "check_theta",
     "theta_variants",
     "digit_form",
     "digit_decomposition",

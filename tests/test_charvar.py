@@ -6,7 +6,9 @@ import pytest
 
 from microdiff.diffop import DiffOp
 from microdiff.errors import InvalidParameter
+from microdiff.microloc import try_invert
 from microdiff.polynomials import Poly
+from microdiff.pseudopoly import SymbolPoly
 from microdiff.charvar import (
     Bounds,
     CyclicModule,
@@ -202,6 +204,13 @@ class TestMicroSupport:
         (v,) = rep["levels"][1]
         assert v.verdict == "PersistsUpToWindow"
         assert len(v.betas) > 0
+
+    def test_betas_are_order_beta_pairs(self):
+        M = module(2, 0, D(2) - X(2))
+        rep = micro_support_test(M, [0], window=-6)
+        (v,) = rep["levels"][0]
+        betas = try_invert(D(2) - X(2), SymbolPoly.xi(2, 0), 0, floor=-6, laurent=True).profile.betas
+        assert v.betas == tuple(sorted(betas.items(), reverse=True))
 
     def test_euler_operator_generic_vanishes_fiber_persists(self):
         M = module(2, 0, X(2) * D(2) - DiffOp.scalar(1, 2, 0))

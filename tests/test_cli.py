@@ -59,6 +59,14 @@ class TestParser:
         w = DiffOp.dx(2, 0) - DiffOp.x(2, 0)
         assert v == w * w
 
+    def test_too_deep_nesting_leaves_the_session_usable(self):
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse("Tinv(" * 1200 + "xi1" + ")" * 1200, self.s)
+        assert parse("(" * 50 + "d1" + ")" * 50, self.s) == DiffOp.dx(2, 0)
+
+    def test_flat_sum_of_5000_terms(self):
+        assert parse(" + ".join(["x1"] * 5000), self.s) == DiffOp.x(2, 0).scale(5000)
+
     def test_symbol_expression(self):
         theta = parse_symbol("x1*xi1^2", Session(p=3))
         assert isinstance(theta, SymbolPoly)
@@ -159,6 +167,24 @@ class TestCommands:
         data = json.loads(out)
         assert data["ok"] and data["bounded"]
 
+    def test_invert_betas_are_order_beta_pairs(self, capsys):
+        from microdiff.microloc import try_invert
+
+        code, out, _ = run(
+            capsys, "invert", "--p", "2", "--expr", "d1 - x1",
+            "--mprime", "0", "--window-floor", "-6", "--json",
+        )
+        assert code == EXIT_OK
+        P = DiffOp.dx(2, 0) - DiffOp.x(2, 0)
+        betas = try_invert(P, SymbolPoly.xi(2, 0), 0, floor=-6).profile.betas
+        expected = [[order, beta] for order, beta in sorted(betas.items(), reverse=True)]
+        assert json.loads(out)["betas"] == expected
+
+    def test_seed_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mul", "--p", "2", "--expr", "d1", "--seed", "3"])
+        assert exc.value.code == 2
+
     def test_invert_unbounded_exit_2(self, capsys):
         code, out, _ = run(
             capsys, "invert", "--p", "2", "--expr", "D1[1,1] - x1",
@@ -241,6 +267,9 @@ class TestBoundary:
         ("stability", "--p", "2", "--rel", "d1 - x1", "--mprime-max", "-1"),
         ("mul", "--p", "2", "--expr", "Tinv(xi1,0,0)^2"),
         ("mul", "--p", "2", "--expr", "0^-1"),
+        ("mul", "--p", "2", "--expr", "(" * 1200 + "d1" + ")" * 1200),
+        ("mul", "--p", "2", "--expr=" + "-" * 3000 + "d1"),
+        ("mul", "--p", "2", "--expr", "Tinv(" * 1200 + "xi1" + ")" * 1200),
     ]
 
     @pytest.mark.parametrize(
@@ -249,7 +278,8 @@ class TestBoundary:
         ids=["p4", "p1", "level-1", "p0", "mprime-1", "tinv-level-above-mprime",
              "theta-inhomogeneous", "theta-degree-0", "normcalc-m-above-mprime",
              "invert-scalar", "invert-symbol", "nmax-below-3", "normcalc-k-negative",
-             "stability-mprime-below-level", "microop-power", "zero-negative-power"],
+             "stability-mprime-below-level", "microop-power", "zero-negative-power",
+             "nested-parentheses", "nested-minus", "nested-tinv"],
     )
     def test_one_error_line_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)

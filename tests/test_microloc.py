@@ -75,6 +75,32 @@ class TestPresentation:
         assert P == MicroOp.one(XI2, 0, 1)
 
 
+class TestOneLocalizer:
+    """Both presentations invert the same T, also when theta has a
+    non-constant coefficient and the left and right lifts of theta differ."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("xe", [0, 1, 2])
+    @pytest.mark.parametrize("m, mp", [(0, 0), (0, 1), (1, 1)])
+    def test_t_times_right_t_inverse(self, p, xe, m, mp):
+        # T * (T^-1 D^<m><k> x, converted to the left) == D^<m><k> x
+        theta = SymbolPoly(p, 0, 1, {(1,): Poly.var(power=xe)})  # x^xe xi
+        T = MicroOp.from_diffop(build_theta_tilde(theta, m, mp).op, theta, mp)
+        for k in range(3):
+            Q = DiffOp.dx(p, m, k) * DiffOp.x(p, m)
+            R = MicroOp(theta, m, mp, {((k,), 1): Poly.var()}, side="right", floor=-8)
+            prod = micro_multiply(T, convert_presentation(R, "left"))
+            assert prod == MicroOp.from_diffop(Q, theta, mp), f"k = {k}"
+
+    @pytest.mark.parametrize("m, mp", [(0, 0), (0, 1), (1, 1)])
+    def test_roundtrip_x2_xi_p3(self, m, mp):
+        theta = SymbolPoly(3, 0, 1, {(1,): Poly.var(power=2)})  # x^2 xi
+        terms = {((1,), 1): Poly.var(), ((2,), 2): 1, ((0,), 0): Poly.var(power=2)}
+        P = MicroOp(theta, m, mp, terms, floor=-10, laurent=True)
+        back = convert_presentation(convert_presentation(P, "right"), "left")
+        assert back == P
+
+
 class TestMultiply:
     def test_t_times_t_inverse(self):
         for level, mp in [(0, 0), (0, 1), (1, 1), (1, 2)]:

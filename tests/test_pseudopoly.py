@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microdiff.diffop import DiffOp, render_diffop
+from microdiff.diffop import DiffOp, build_theta_tilde, render_diffop
 from microdiff.padic import divided_lift, level_factorial_ratio_exact, valuation
 from microdiff.errors import LevelMismatch, NotHomogeneous
+from microdiff.microloc import MicroOp
 from microdiff.polynomials import Poly
 from microdiff.pseudopoly import (
     SymbolPoly,
@@ -257,6 +258,14 @@ class TestThetaVariants:
     def test_degree_zero_rejected(self):
         with pytest.raises(NotHomogeneous):
             theta_variants(SymbolPoly.one(2, 0), 0, 1)
+
+    def test_level_outside_range_rejected(self):
+        # one theta check: theta_variants, the localizer and MicroOp agree
+        xi = SymbolPoly.xi(2, 0)
+        for m, mp in [(2, 1), (-1, 0)]:
+            for build in (theta_variants, build_theta_tilde, MicroOp):
+                with pytest.raises(LevelMismatch):
+                    build(xi, m, mp)
 
 
 class TestIsogenyBound:

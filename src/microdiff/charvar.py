@@ -15,9 +15,8 @@ cross-checked against the variety where both sides carry clean certificates.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy
-
 from .errors import BoundsExhausted, InvalidParameter, LevelMismatch, ZeroOperator
+from .fpx import Fpx
 from .padic import binomial_structure_constant_exact, check_prime_and_level
 from .polynomials import Poly
 from .pseudopoly import digit_decomposition, SymbolPoly
@@ -353,13 +352,6 @@ def order_standard_basis(M: CyclicModule, bounds: Bounds = Bounds()) -> OrderSta
 # -- chart reduction and classification ---------------------------------------------
 
 
-_X = sympy.Symbol("x")
-
-
-def _sympy_to_str(g) -> str:
-    return sympy.sstr(g.as_expr())
-
-
 def _reduced_chart_generators(sb: OrderStandardBasis, p: int, m: int):
     """Reduced images of the leading symbols on the (x, Xi)-chart.
 
@@ -367,15 +359,13 @@ def _reduced_chart_generators(sb: OrderStandardBasis, p: int, m: int):
     zero low digits (the other basis vectors are nilpotent mod p); it lands
     on f(x).Xi^(n/p^m) up to a unit.
     """
-    gens = []  # (a, sympy Poly over GF(p))
+    gens = []  # (a, Fpx)
     q = p**m
     for n, f in sb.leading:
         if n % q or any(digit_decomposition(n, p, m)[:-1]):
             continue  # nilpotent factor: cuts nothing
-        fp = sympy.Poly(
-            {e: c.numerator % p for (e,), c in f.coeffs.items()}, _X, modulus=p
-        )
-        if not fp.is_zero:
+        fp = Fpx.from_poly(f, p)
+        if not fp.is_zero():
             gens.append((n // q, fp))
     return gens
 
@@ -394,12 +384,7 @@ def _classify(gens, p: int) -> dict:
         return g
 
     if not base:
-        g = gcd_all(cone)
-        fibers = (
-            []
-            if g.degree() == 0
-            else [_sympy_to_str(q) for q, _ in g.factor_list()[1]]
-        )
+        fibers = [str(q) for q, _ in gcd_all(cone).factor_list()]
         cls = "zero-section" if not fibers else "zero-section-and-fibers"
         return dict(char_class=cls, zero_section=True, fibers=sorted(fibers), points=[])
 
@@ -407,11 +392,11 @@ def _classify(gens, p: int) -> dict:
     if g0.degree() == 0:
         return dict(char_class="empty", zero_section=False, fibers=[], points=[])
     fibers, points = [], []
-    for q, _ in g0.factor_list()[1]:
-        if all(f.rem(q).is_zero for f in cone):
-            fibers.append(_sympy_to_str(q))
+    for q, _ in g0.factor_list():
+        if all(f.rem(q).is_zero() for f in cone):
+            fibers.append(str(q))
         else:
-            points.append(_sympy_to_str(q))
+            points.append(str(q))
     if fibers and points:
         cls = "points-and-fibers"
     elif fibers:
@@ -428,9 +413,7 @@ def char_variety(M: CyclicModule, bounds: Bounds = Bounds()) -> CharVariety:
     sb = order_standard_basis(M, bounds)
     gens = _reduced_chart_generators(sb, M.p, M.m)
     info = _classify(gens, M.p)
-    gen_strs = [
-        (_sympy_to_str(f) + (f"*Xi^{a}" if a else "")) for a, f in gens
-    ]
+    gen_strs = [str(f) + (f"*Xi^{a}" if a else "") for a, f in gens]
     return CharVariety(
         info["char_class"],
         info["zero_section"],
@@ -461,12 +444,7 @@ def _degenerate_fiber_factors(P: DiffOp):
     if lead is None:
         return []
     _, f = lead
-    fp = sympy.Poly(
-        {e: c.numerator % P.p for (e,), c in f.coeffs.items()}, _X, modulus=P.p
-    )
-    if fp.degree() <= 0:
-        return []
-    return [_sympy_to_str(q) for q, _ in fp.factor_list()[1]]
+    return [str(q) for q, _ in Fpx.from_poly(f, P.p).factor_list()]
 
 
 def micro_support_test(

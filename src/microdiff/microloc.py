@@ -236,18 +236,24 @@ class MicroOp:
                 terms[(k, i)] = c
         return self.with_terms(terms)
 
+    def _left_canonical(self) -> "MicroOp":
+        """Canonical form of the left image: one per element, whichever
+        presentation it comes in."""
+        return convert_presentation(self, "left").canonical()
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.with_terms({((0,) * self.d, 0): other}, floor=-INF)
-        if not isinstance(other, MicroOp) or self._meta() != other._meta():
+        if not isinstance(other, MicroOp):
             return False
-        floor = max(self.floor, other.floor)
-        a = self.canonical().truncate(floor)
-        b = other.canonical().truncate(floor)
-        return a.terms == b.terms
+        a, b = self._left_canonical(), other._left_canonical()
+        if a._meta() != b._meta():
+            return False
+        floor = max(a.floor, b.floor)
+        return a.truncate(floor).terms == b.truncate(floor).terms
 
     def __hash__(self):
-        c = self.canonical()
+        c = self._left_canonical()
         return hash((c._meta(), frozenset((k, i) for k, i in c.terms)))
 
     def __str__(self):

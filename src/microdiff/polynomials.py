@@ -124,8 +124,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def derivative(self, j: int = 0) -> "Poly":

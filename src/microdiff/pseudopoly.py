@@ -190,8 +190,9 @@ class TermAlgebra:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -215,7 +216,7 @@ class TermAlgebra:
             const = Fraction(1)
             for kj in k:
                 const *= divided_lift(kj, self.p, self.m)
-            out[k] = out.get(k, Poly.zero(self.d)) + c.scale(const)
+            out[k] = c.scale(const)
         return out
 
     def render(self, gen, coeff=str) -> str:

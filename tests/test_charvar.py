@@ -154,14 +154,10 @@ class TestCharVariety:
         # the classifier itself: an order-0 generator f(x) whose root does
         # not kill the positive-degree generators leaves only the
         # zero-section point above it
-        import sympy
         from microdiff.charvar import _classify
+        from microdiff.fpx import Fpx
 
-        x = sympy.Symbol("x")
-        gens = [
-            (0, sympy.Poly(x, x, modulus=2)),
-            (1, sympy.Poly(x + 1, x, modulus=2)),
-        ]
+        gens = [(0, Fpx(2, [0, 1])), (1, Fpx(2, [1, 1]))]  # x, (x + 1)*Xi
         info = _classify(gens, 2)
         assert info["char_class"] == "point-set"
         assert info["points"] == ["x"] and info["fibers"] == []

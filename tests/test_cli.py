@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import microdiff
 from microdiff.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -410,3 +415,19 @@ class TestConfig:
         assert code == EXIT_ERROR
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestImport:
+    def test_cli_import_loads_no_sympy(self):
+        # sympy is a test oracle only; the runtime must not load it
+        src = str(Path(microdiff.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import microdiff.cli, sys; assert 'sympy' not in sys.modules"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -67,6 +67,20 @@ class TestPresentation:
         R = convert_presentation(P, "right")
         assert R.terms == P.terms
 
+    def test_equal_right_presentations_compare_equal(self):
+        # right T^-1 d and right 1 are the same element (T = d at p = 2)
+        xi = SymbolPoly.xi(2, 0)
+        A = MicroOp(xi, 0, 0, {((1,), 1): 1}, side="right", floor=-6)
+        B = MicroOp(xi, 0, 0, {((0,), 0): 1}, side="right", floor=-6)
+        assert A == B and hash(A) == hash(B)
+        assert A == 1 and A == MicroOp.one(xi, 0, 0)
+        assert A != MicroOp(xi, 0, 0, {((0,), 0): 2}, side="right", floor=-6)
+
+    def test_left_and_right_presentations_compare_equal(self):
+        P = MicroOp(XI2, 0, 0, {((0,), 1): Poly.var()}, side="right", floor=-8)
+        L = convert_presentation(P, "left")
+        assert P == L and hash(P) == hash(L)
+
     def test_canonical_reduces_localizer_multiples(self):
         # (d^2) * T^-1 with T = d^2 canonicalizes to 1
         T = build_theta_tilde(XI2, 0, 1).op

@@ -15,15 +15,20 @@ cross-checked against the variety where both sides carry clean certificates.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BoundsExhausted, InvalidParameter, LevelMismatch, ZeroOperator
+from .errors import (
+    BoundsExhausted,
+    InvalidParameter,
+    LevelMismatch,
+    NotInvertibleAtSymbol,
+    SymbolMismatch,
+    ZeroOperator,
+)
 from .fpx import Fpx
 from .padic import binomial_structure_constant_exact, check_prime_and_level
 from .polynomials import Poly
 from .pseudopoly import digit_decomposition, SymbolPoly
 from .diffop import DiffOp, level_map_phi
-from .microloc import try_invert, validate_convergence
-
-REPORT_SCHEMA = "microdiff-charreport/1"
+from .microloc import try_invert
 
 
 # -- domain types ----------------------------------------------------------------
@@ -68,13 +73,11 @@ class CyclicModule:
                 raise ValueError("relation level/prime mismatch")
             if P.is_zero():
                 continue
+            if P.d != 1:
+                raise ValueError("only the affine line (d = 1) is supported")
             v = P.p_valuation()
             rels.append(P.scale(Fraction(1, 1) / Fraction(p) ** v))
         self.relations = tuple(rels)
-        self.d = 1
-        for P in self.relations:
-            if P.d != 1:
-                raise ValueError("only the affine line (d = 1) is supported")
 
     def level_raised(self, mprime: int) -> "CyclicModule":
         return CyclicModule(self.p, mprime, [level_map_phi(P, mprime) for P in self.relations])
@@ -200,14 +203,13 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
         if P.order() > bounds.max_order or P.max_xdeg() > bounds.max_xdeg:
             raise BoundsExhausted(
                 f"normal form left the bounded region "
-                f"(order {P.order()}, x-degree {P.max_xdeg()})",
-                partial=P,
+                f"(order {P.order()}, x-degree {P.max_xdeg()})"
             )
         # a revisited state only makes progress if p-divisions accumulated in
         # between (the precision cap then bounds the total number of loops)
         key = frozenset((k, tuple(sorted(c.coeffs.items()))) for k, c in P.terms.items())
         if seen.get(key) == divisions:
-            raise BoundsExhausted("reduction cycled without p-adic progress", partial=P)
+            raise BoundsExhausted("reduction cycled without p-adic progress")
         seen[key] = divisions
         lead = _mod_p_leading(P)
         n, f = lead
@@ -237,7 +239,7 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
         P = P2 if P2.p_valuation() > P1.p_valuation() else P1
         steps += 1
         if steps > bounds.max_steps:
-            raise BoundsExhausted("normal form exceeded the step budget", partial=P)
+            raise BoundsExhausted("normal form exceeded the step budget")
     return P
 
 
@@ -460,10 +462,8 @@ def micro_support_test(
     diagnostic evidence only.  When a certified char_variety is supplied the
     punctured parts are cross-checked.
     """
-    from .errors import SymbolMismatch, NotInvertibleAtSymbol
-
     p = M.p
-    out = {"schema": REPORT_SCHEMA, "levels": {}, "crosscheck": None}
+    out = {"levels": {}, "crosscheck": None}
     for level in levels:
         verdicts = []
         fiber_factors = set()
@@ -529,13 +529,14 @@ def micro_support_test(
 # -- the counterexample suite -------------------------------------------------------
 
 
-def verify_counterexample(p: int, n_max: int = 30, deg_bound: int = 3) -> dict:
+def verify_counterexample(p: int, n_max: int = 30) -> dict:
     """Exact verification of the non-stability mechanism.
 
     (a) the recurrence f_{n+1} = n.f_{n-1} - x.f_n with f_1 = -(1 + x.f_0)
         has the closed form (-1)^n f_n = (x^(n-1)+g_n) + (x^n+h_n).f_0 with
         deg g_n < n-1 and deg h_n < n, for all n <= n_max;
-    (b) the spectral-norm identity |f_n| = max(1, |f_0|) over a test set;
+    (b) the spectral-norm identity |f_n| = max(1, |f_0|) for the ten f_0 in
+        0, 1, p, 1/p, and x^e, x^e/p^e for e = 1..3;
     (c) D^n.e = (x^n + lower).e modulo the left ideal (D - x).
 
     n_max must be at least 3: check (c) compares D^3.e with (x^3 + 3x).e.
@@ -554,7 +555,7 @@ def verify_counterexample(p: int, n_max: int = 30, deg_bound: int = 3) -> dict:
         B.append(B[n - 1].scale(n) - x * B[n])
     for n in range(1, n_max + 1):
         sgn = Fraction((-1) ** n)
-        ga = A[n].scale(sgn) - (Poly.var(power=n - 1) if n >= 1 else Poly.const(1))
+        ga = A[n].scale(sgn) - Poly.var(power=n - 1)
         gb = B[n].scale(sgn) - Poly.var(power=n)
         if not (ga.degree() < n - 1 or ga.is_zero()) or not (
             gb.degree() < n or gb.is_zero()
@@ -566,12 +567,9 @@ def verify_counterexample(p: int, n_max: int = 30, deg_bound: int = 3) -> dict:
 
     # (b) norm identity over a deterministic test set
     test_set = [Poly.zero(1), Poly.const(1), Poly.const(p), Poly.const(Fraction(1, p))]
-    for dgr in range(1, deg_bound + 1):
-        test_set.append(Poly.var(power=dgr))
-        test_set.append(Poly.var(power=dgr).scale(Fraction(1, p**dgr)))
-    test_set.append(Poly.from_univariate([1, 1]))
-    test_set.append(Poly.from_univariate([Fraction(1, p * p), 0, 1]))
-    test_set = test_set[:10]
+    for e in range(1, 4):
+        test_set.append(Poly.var(power=e))
+        test_set.append(Poly.var(power=e).scale(Fraction(1, p**e)))
     norm_ok = True
     for f0 in test_set:
         v0 = min(0, f0.p_valuation(p)) if not f0.is_zero() else 0
@@ -599,7 +597,6 @@ def verify_counterexample(p: int, n_max: int = 30, deg_bound: int = 3) -> dict:
     checks.append({"check": "partial-cubed", "expected": "x^3 + 3x", "ok": p3_ok})
 
     return {
-        "schema": REPORT_SCHEMA,
         "p": p,
         "n_max": n_max,
         "checks": checks,
@@ -610,14 +607,11 @@ def verify_counterexample(p: int, n_max: int = 30, deg_bound: int = 3) -> dict:
 # -- stability probe --------------------------------------------------------------
 
 
-def stability_probe(
-    M: CyclicModule,
-    mprime_max: int,
-    bounds: Bounds = Bounds(),
-    window: int = -12,
-) -> dict:
-    """Char and support verdicts for each level m..mprime_max, with the least
-    level at which the Char column stabilizes within bounds (empirical N)."""
+def stability_probe(M: CyclicModule, mprime_max: int, bounds: Bounds = Bounds()) -> dict:
+    """Char^(m') for each level m' = m..mprime_max, with the least level from
+    which the Char column stops changing within bounds (empirical N), and the
+    levels whose certificate is incomplete.  Per-level support verdicts come
+    from ``micro_support_test``."""
     if mprime_max < M.m:
         raise LevelMismatch(
             f"need mprime_max >= the module level {M.m}, got {mprime_max}"
@@ -627,17 +621,9 @@ def stability_probe(
     for mp in range(M.m, mprime_max + 1):
         Ml = M.level_raised(mp) if mp > M.m else M
         cv = char_variety(Ml, bounds)
-        supp = micro_support_test(Ml, [mp], window=window, char=cv)
         key = (cv.char_class, tuple(cv.fibers), tuple(cv.points), cv.zero_section)
         classes.append((key, cv.complete))
-        rows.append(
-            {
-                "level": mp,
-                "char": cv.to_json(),
-                "support": [v.__dict__ for v in supp["levels"][mp]],
-                "crosscheck": supp["crosscheck"],
-            }
-        )
+        rows.append({"level": mp, "char": cv.to_json()})
     stable_from = None
     for i in range(len(classes)):
         tail = classes[i:]
@@ -645,8 +631,6 @@ def stability_probe(
             stable_from = M.m + i
             break
     return {
-        "schema": REPORT_SCHEMA,
-        "levels": list(range(M.m, mprime_max + 1)),
         "rows": rows,
         "stable_from": stable_from,
         "flags": [r["level"] for r in rows if not r["char"]["complete"]],

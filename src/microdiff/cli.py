@@ -16,9 +16,10 @@ from .errors import ExprSyntaxError, InvalidParameter, MicrodiffError
 from .padic import check_prime_and_level
 from .polynomials import Poly
 from .pseudopoly import SymbolPoly
-from .diffop import DiffOp, OrderSymbol, level_map_phi, order_and_symbol, render_diffop
+from .diffop import DiffOp, level_map_phi, order_and_symbol, render_diffop
 from .microloc import (
     MicroOp,
+    change_presentation_level,
     membership_intermediate,
     micro_multiply,
     normcalc_bounds,
@@ -297,14 +298,15 @@ class _Parser:
 
 
 class Session:
-    """Shared context for one CLI invocation; all values share (p, d)."""
+    """Shared context for one CLI invocation; all values share p and live on
+    the affine line, d = 1."""
 
-    def __init__(self, p, level=0, window_floor=-12, d=1, laurent=False):
+    def __init__(self, p, level=0, window_floor=-12, laurent=False):
         check_prime_and_level(p, level)
         self.p = p
         self.level = level
         self.window_floor = window_floor
-        self.d = d
+        self.d = 1
         self.laurent = laurent
         self.symbol_mode = False
 
@@ -442,8 +444,6 @@ def cmd_member(args, session):
     if isinstance(v, DiffOp):
         raise ExprSyntaxError("member needs a microlocal operator (use Tinv)")
     if v.level != args.mprime:
-        from .microloc import change_presentation_level
-
         v = change_presentation_level(v, args.mprime)
     verdict = membership_intermediate(v, args.m)
     payload = {
@@ -494,7 +494,7 @@ def cmd_supp(args, session):
         ]
         for lvl, vs in rep["levels"].items()
     }
-    partial = any(
+    partial = not cv.complete or any(
         v.verdict == "PersistsUpToWindow" for vs in rep["levels"].values() for v in vs
     )
     payload = {
@@ -510,9 +510,7 @@ def cmd_supp(args, session):
 def cmd_stability(args, session):
     session.level = args.level
     M = _module_from_args(args, session)
-    rep = stability_probe(
-        M, args.mprime_max, _bounds_from_args(args), window=session.window_floor
-    )
+    rep = stability_probe(M, args.mprime_max, _bounds_from_args(args))
     payload = {
         "command": "stability",
         "p": session.p,
@@ -533,7 +531,7 @@ def cmd_stability(args, session):
 
 
 def cmd_verify_counterexample(args, session):
-    rep = verify_counterexample(session.p, n_max=args.nmax, deg_bound=args.deg_bound)
+    rep = verify_counterexample(session.p, n_max=args.nmax)
     payload = {
         "command": "verify-counterexample",
         "p": session.p,
@@ -646,7 +644,7 @@ def build_parser():
     sp.add_argument("--at-levels", type=int, nargs="*", dest="at_levels")
     sp.set_defaults(func=cmd_supp)
 
-    sp = sub.add_parser("stability", help="char/support table over levels")
+    sp = sub.add_parser("stability", help="Char table over levels, and the least stable level")
     common(sp)
     sp.add_argument("--rel", action="append", required=True)
     sp.add_argument("--mprime-max", type=int, required=True, dest="mprime_max")
@@ -655,7 +653,6 @@ def build_parser():
     sp = sub.add_parser("verify-counterexample", help="non-stability suite")
     common(sp)
     sp.add_argument("--nmax", type=int, default=30)
-    sp.add_argument("--deg-bound", type=int, default=3, dest="deg_bound")
     sp.set_defaults(func=cmd_verify_counterexample)
 
     sp = sub.add_parser("normcalc-bounds", help="valuation bounds a_k, b_k")

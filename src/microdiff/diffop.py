@@ -101,14 +101,16 @@ class DiffOp(TermAlgebra):
         return cls(p, m, d, terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if isinstance(other, Poly):  # a right factor a(x) is the operator a
+            other = DiffOp.from_poly(other, self.p, self.m)
         self._check(other)
         prod = {}
         _leibniz_into(prod, self.to_plain(), other.to_plain(), 1, 0)
         return self._from_product(prod, other)
 
-    __rmul__ = __mul__
+    __rmul__ = TermAlgebra.scale  # a left scalar
 
     def commutator(self, other):
         """[self, other] = self*other - other*self in one Leibniz pass.
@@ -205,25 +207,16 @@ class ThetaTilde:
 
 
 @functools.lru_cache(maxsize=64)
-def build_theta_tilde(theta: SymbolPoly, m: int, mprime: int, side: str = "left") -> ThetaTilde:
+def build_theta_tilde(theta: SymbolPoly, m: int, mprime: int) -> ThetaTilde:
     """Theta-tilde at levels (m, m'): the symbol Theta^(m,m') of
     ``theta_variants``, sum_K c_K xi^<m><K>, lifted term by term with each
-    coefficient on the requested side: c_K D^<m><K> on the left (the
-    localizer of the microlocal ring), D^<m><K> c_K on the right.
+    coefficient on the left, sum_K c_K D^<m><K>: the localizer of the
+    microlocal ring, in both of its presentations.
 
     Cached: every argument is hashable, and neither SymbolPoly nor DiffOp is
     ever changed in place."""
     _, lo = theta_variants(theta, m, mprime)
-    p, d = theta.p, theta.d
-    if side == "left":
-        op = DiffOp(p, m, d, lo.terms)
-    elif side == "right":
-        op = DiffOp.zero(p, m, d)
-        for K, c in lo.terms.items():
-            op = op + DiffOp(p, m, d, {K: Poly.const(1, d)}) * DiffOp.from_poly(c, p, m)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return ThetaTilde(op, lo.degree())
+    return ThetaTilde(DiffOp(theta.p, m, theta.d, lo.terms), lo.degree())
 
 
 def central_level_for(

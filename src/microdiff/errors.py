@@ -54,11 +54,7 @@ class SymbolMismatch(MicrodiffError):
 
 
 class BoundsExhausted(MicrodiffError):
-    """Standard-basis completion hit its bounds; partial data attached."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Standard-basis completion hit its bounds."""
 
 
 class ExprSyntaxError(MicrodiffError):

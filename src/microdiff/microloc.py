@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import DiffOp, ThetaTilde, build_theta_tilde
+from .diffop import DiffOp, ThetaTilde, build_theta_tilde, render_diffop
 from .errors import (
     IncompatibleLocalizer,
     InvalidParameter,
@@ -26,7 +26,11 @@ from .errors import (
     NotInvertibleAtSymbol,
     SymbolMismatch,
 )
-from .padic import level_factorial_ratio_exact, level_shift_constant, valuation
+from .padic import (
+    binomial_structure_constant_exact,
+    level_factorial_ratio_exact,
+    level_shift_constant,
+)
 from .polynomials import Poly
 from .pseudopoly import SymbolPoly, check_theta
 
@@ -217,14 +221,14 @@ class MicroOp:
             B = buckets.get(i)
             if B is None:
                 continue
-            while B is not None and not B.is_zero():
+            while not B.is_zero():
                 h = _divide_symbol_top(B, kT, cT, self.p, self.level, self.d, self.laurent)
                 if h is None:
                     break
                 B = B - h * T
                 lower = buckets.get(i - 1, DiffOp.zero(self.p, self.level, self.d)) + h
                 buckets[i - 1] = lower
-            if B is None or B.is_zero():
+            if B.is_zero():
                 buckets.pop(i, None)
             else:
                 buckets[i] = B
@@ -253,14 +257,14 @@ class MicroOp:
         return a.truncate(floor).terms == b.truncate(floor).terms
 
     def __hash__(self):
-        c = self._left_canonical()
-        return hash((c._meta(), frozenset((k, i) for k, i in c.terms)))
+        # __eq__ truncates at the higher floor, which can drop any term, so
+        # only the localizer data that equality always compares is hashed;
+        # the side is left out, as either presentation of one element is equal
+        return hash((self.p, self.level, self.mprime, self.theta, self.d))
 
     def __str__(self):
         if not self.terms:
             return "0"
-        from .diffop import render_diffop
-
         parts = []
         for (k, i) in sorted(
             self.terms,
@@ -289,7 +293,7 @@ class MicroOp:
             "side": self.side,
             "laurent": self.laurent,
             "floor": None if self.floor == -INF else self.floor,
-            "theta": _poly_terms_json({k: c for k, c in self.theta.terms.items()}),
+            "theta": [[list(k), _poly_json(c)] for k, c in sorted(self.theta.terms.items())],
             "terms": [
                 {"k": list(k), "i": i, "coeff": _poly_json(c)}
                 for (k, i), c in sorted(self.terms.items())
@@ -300,9 +304,7 @@ class MicroOp:
     def from_json(cls, data: dict) -> "MicroOp":
         p = data["p"]
         d = data["d"]
-        theta = SymbolPoly(
-            p, 0, d, {tuple(k): poly for k, poly in _poly_terms_unjson(data["theta"], d)}
-        )
+        theta = SymbolPoly(p, 0, d, {tuple(k): _poly_unjson(c, d) for k, c in data["theta"]})
         terms = {
             (tuple(t["k"]), t["i"]): _poly_unjson(t["coeff"], d) for t in data["terms"]
         }
@@ -325,18 +327,8 @@ def _poly_unjson(data, d):
     return Poly(d, {tuple(e): Fraction(v) for e, v in data})
 
 
-def _poly_terms_json(terms):
-    return [[list(k), _poly_json(c)] for k, c in sorted(terms.items())]
-
-
-def _poly_terms_unjson(data, d):
-    return [(tuple(k), _poly_unjson(c, d)) for k, c in data]
-
-
 def _divide_symbol_top(B: DiffOp, kT, cT: Poly, p, m, d, laurent):
     """Quotient h (a DiffOp lift) with sigma(h)*sigma(T) = sigma(B), or None."""
-    from .padic import binomial_structure_constant_exact
-
     sB = B.symbol_exact()
     out = {}
     for k, b in sB.terms.items():
@@ -570,7 +562,6 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
     if floor == -INF:
         raise ValueError("inversion requires a finite window floor")
     laurent = laurent or P.laurent
-    n = theta.degree()
     korder = P.localizer_order
     w = P.order()
     top = P.order_part(w)
@@ -725,18 +716,15 @@ def normcalc_bounds(d: int, p: int, m: int, mprime: int, k: int) -> dict:
     return {"a_k": a_k, "b_k": b_k, "alpha": alphas}
 
 
-def observed_a_bound(p: int, m: int, mprime: int, k: int, theta=None, imax: int = 3, lmax=None) -> int:
+def observed_a_bound(p: int, m: int, mprime: int, k: int, imax: int = 3) -> int:
     """Empirical tightener: largest denominator exponent seen in level-m'
-    presentations of D^<m><l> (T^(m,m'))^(-i) over terms of order >= k."""
-    if theta is None:
-        theta = SymbolPoly.xi(p, 0)
-    n = theta.degree()
-    korder = n * p**mprime
-    if lmax is None:
-        lmax = 2 * korder
+    presentations of D^<m><l> (T^(m,m'))^(-i), theta = xi, over the terms
+    of order >= k with i <= imax and l <= twice the localizer order."""
+    theta = SymbolPoly.xi(p, 0)
+    korder = p**mprime  # the localizer order for theta = xi
     worst = 0
     for i in range(imax + 1):
-        for l in range(lmax + 1):
+        for l in range(2 * korder + 1):
             if l - i * korder < k:
                 continue
             P = MicroOp(theta, m, mprime, {((l,), i): 1})

@@ -138,15 +138,6 @@ class Poly:
                 out[tuple(e)] = c * exp[j]
         return Poly(self.nvars, out)
 
-    def shift(self, j: int, by: int) -> "Poly":
-        """Multiply by x_j^by (by may be negative)."""
-        out = {}
-        for exp, c in self.coeffs.items():
-            e = list(exp)
-            e[j] += by
-            out[tuple(e)] = c
-        return Poly(self.nvars, out)
-
     def coefficient(self, exp) -> Fraction:
         return self.coeffs.get(tuple(exp), Fraction(0))
 

@@ -277,10 +277,14 @@ class SymbolPoly(TermAlgebra):
         return SymbolPoly(self.p, 0, self.d, self.lifted_terms())
 
     def _gen(self, j, kj):
-        name = "xi" if self.d == 1 else f"xi_{j}"
+        if self.d == 1:
+            if self.m:
+                return f"xi{self.m}[{kj}]"
+            return f"xi^{kj}" if kj > 1 else "xi"
+        # like render_diffop's D1[m,k] and the parser's xi<j>
         if self.m:
-            return f"{name}{self.m}[{kj}]"
-        return f"{name}^{kj}" if kj > 1 else name
+            return f"xi{j + 1}[{self.m},{kj}]"
+        return f"xi{j + 1}^{kj}" if kj > 1 else f"xi{j + 1}"
 
     def __str__(self):
         return self.render(self._gen)

@@ -252,16 +252,46 @@ class TestMicroSupport:
         assert rep["crosscheck"]["agree"] is None
 
 
+class TestIncompleteCertificates:
+    """Bounds too tight to finish the standard basis: the certificate says
+    complete = False, and a note says which bound was hit."""
+
+    @staticmethod
+    def d_minus_x_level2():
+        return module(2, 0, D(2) - X(2)).level_raised(2)
+
+    def test_pair_queue_truncated_by_step_budget(self):
+        sb = order_standard_basis(self.d_minus_x_level2(), Bounds(max_steps=1))
+        assert not sb.complete
+        assert sb.notes == ["pair queue truncated by step budget"]
+        assert not char_variety(self.d_minus_x_level2(), Bounds(max_steps=1)).complete
+
+    def test_normal_form_leaves_bounded_region(self):
+        sb = order_standard_basis(self.d_minus_x_level2(), Bounds(max_order=2))
+        assert not sb.complete
+        assert sb.notes == ["normal form left the bounded region (order 3, x-degree 3)"]
+
+    def test_normal_form_exceeds_step_budget(self):
+        sb = order_standard_basis(self.d_minus_x_level2(), Bounds(max_steps=3))
+        assert not sb.complete
+        assert sb.notes == ["normal form exceeded the step budget"]
+
+    def test_soundness_recheck_leaves_bounded_region(self):
+        sb = order_standard_basis(module(2, 0, D(2) * D(2) - X(2)), Bounds(max_order=1))
+        assert not sb.complete
+        assert sb.notes == ["soundness re-check left the bounded region"]
+
+
 # -- the counterexample suite -------------------------------------------------------
 
 
 class TestVerifyCounterexample:
     def test_all_checks_pass_p2(self):
-        rep = verify_counterexample(2, n_max=30, deg_bound=3)
+        rep = verify_counterexample(2, n_max=30)
         assert rep["all_ok"]
 
     def test_all_checks_pass_p3(self):
-        rep = verify_counterexample(3, n_max=30, deg_bound=3)
+        rep = verify_counterexample(3, n_max=30)
         assert rep["all_ok"]
 
     def test_closed_form_small_n_by_hand(self):
@@ -313,7 +343,7 @@ class TestStabilityProbe:
     def test_euler_operator_stable_from_zero(self):
         # derived: sigma(x.d - lambda) = x.xi at every level
         M = module(2, 0, X(2) * D(2) - DiffOp.scalar(1, 2, 0))
-        rep = stability_probe(M, 1, window=WINDOW)
+        rep = stability_probe(M, 1)
         assert rep["stable_from"] == 0
         assert all(
             r["char"]["char_class"] == "zero-section-and-fibers"
@@ -324,17 +354,17 @@ class TestStabilityProbe:
         # oracle: Char^(0) is the zero section but Char^(1) is a
         # fiber: the level-0 row cannot start a stable tail
         M = module(2, 0, D(2) - X(2))
-        rep = stability_probe(M, 2, window=WINDOW)
+        rep = stability_probe(M, 2)
         assert rep["rows"][0]["char"]["char_class"] == "zero-section"
         assert rep["rows"][1]["char"]["char_class"] == "fiber-set"
         assert rep["stable_from"] == 1
 
     def test_unit_module_stable_everywhere(self):
         # trivially true
-        rep = stability_probe(module(2, 0, DiffOp.one(2, 0)), 2, window=WINDOW)
+        rep = stability_probe(module(2, 0, DiffOp.one(2, 0)), 2)
         assert rep["stable_from"] == 0
         assert all(r["char"]["char_class"] == "empty" for r in rep["rows"])
 
     def test_flags_empty_when_all_complete(self):
-        rep = stability_probe(module(2, 0, D(2) - X(2)), 1, window=WINDOW)
+        rep = stability_probe(module(2, 0, D(2) - X(2)), 1)
         assert rep["flags"] == []

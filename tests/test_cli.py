@@ -207,6 +207,30 @@ class TestCommands:
         data = json.loads(out)
         assert data["crosscheck"]["agree"] is True
 
+    def test_char_incomplete_exit_2(self, capsys):
+        code, out, _ = run(
+            capsys, "char", "--p", "2", "--rel", "d1^2 - x1", "--max-order", "1", "--json"
+        )
+        assert code == EXIT_PARTIAL
+        assert json.loads(out)["complete"] is False
+
+    def test_stability_incomplete_levels_exit_2(self, capsys):
+        code, out, _ = run(
+            capsys, "stability", "--p", "2", "--rel", "d1^2 - x1", "--max-order", "1",
+            "--mprime-max", "1", "--json",
+        )
+        assert code == EXIT_PARTIAL
+        assert json.loads(out)["flags"] == [0, 1]
+
+    def test_supp_incomplete_char_exit_2(self, capsys):
+        # the generic inverse is clean, but the char certificate is not, so
+        # there is no crosscheck and the verdict is partial
+        code, out, _ = run(
+            capsys, "supp", "--p", "2", "--rel", "d1^2 - x1", "--max-order", "1", "--json"
+        )
+        assert code == EXIT_PARTIAL
+        assert json.loads(out)["crosscheck"] is None
+
     def test_verify_counterexample(self, capsys):
         code, out, _ = run(
             capsys, "verify-counterexample", "--p", "2", "--nmax", "10", "--json"

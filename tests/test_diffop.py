@@ -109,6 +109,14 @@ class TestMultiply:
         x = DiffOp.x(p, 0)
         assert d_ * x == x * d_ + DiffOp.one(p, 0)
 
+    def test_poly_factor_on_the_right_is_an_operator(self):
+        # d * x, with x a Poly, composes: d o x = x d + 1, not the scalar x d
+        d_ = DiffOp.dx(2, 0)
+        x = Poly.var()
+        assert d_ * x == d_ * DiffOp.from_poly(x, 2, 0) == DiffOp.x(2, 0) * d_ + DiffOp.one(2, 0)
+        assert DiffOp.dx(2, 1, 2) * x == DiffOp.dx(2, 1, 2) * DiffOp.x(2, 1)
+        assert 3 * d_ == d_ * 3 == d_.scale(3)
+
     def test_divided_square(self):
         P = DiffOp.dx(2, 1, 2)
         assert P * P == DiffOp.dx(2, 1, 4).scale(3)
@@ -256,11 +264,6 @@ class TestThetaTilde:
     def test_xi_level_1(self):
         tt = build_theta_tilde(SymbolPoly.xi(2, 0), 1, 1)
         assert tt.op == DiffOp.dx(2, 1, 2)
-
-    def test_x_xi_right(self):
-        theta = SymbolPoly(2, 0, 1, {(1,): Poly.var()})  # x xi
-        tt = build_theta_tilde(theta, 0, 0, side="right")
-        assert tt.op == DiffOp.dx(2, 0) * DiffOp.x(2, 0)  # d*x = x*d + 1
 
     def test_symbol_matches_theta_variant(self):
         from microdiff.pseudopoly import theta_variants

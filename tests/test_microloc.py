@@ -76,6 +76,15 @@ class TestPresentation:
         assert A == 1 and A == MicroOp.one(xi, 0, 0)
         assert A != MicroOp(xi, 0, 0, {((0,), 0): 2}, side="right", floor=-6)
 
+    def test_equal_across_floors_hash_equal(self):
+        # 1 + T^-5 at floor -10 equals 1 at floor -3: equality truncates at
+        # the higher floor, so the hash must not see the T^-5 term
+        xi = SymbolPoly.xi(2, 0)
+        A = MicroOp(xi, 0, 0, {((0,), 0): 1, ((0,), 5): 1}, floor=-10)
+        B = MicroOp(xi, 0, 0, {((0,), 0): 1}, floor=-3)
+        assert A == B and hash(A) == hash(B)
+        assert len({A, B}) == 1
+
     def test_left_and_right_presentations_compare_equal(self):
         P = MicroOp(XI2, 0, 0, {((0,), 1): Poly.var()}, side="right", floor=-8)
         L = convert_presentation(P, "left")
@@ -94,11 +103,17 @@ class TestOneLocalizer:
     non-constant coefficient and the left and right lifts of theta differ."""
 
     @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("xe", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "coeff",
+        [pytest.param(Poly.var(power=e), id=str(e)) for e in (0, 1, 2)]
+        # (1 + x) xi: the only theta found whose canonical form needs the
+        # long division of Poly.divide_exact
+        + [pytest.param(Poly.from_univariate([1, 1]), id="1+x")],
+    )
     @pytest.mark.parametrize("m, mp", [(0, 0), (0, 1), (1, 1)])
-    def test_t_times_right_t_inverse(self, p, xe, m, mp):
+    def test_t_times_right_t_inverse(self, p, coeff, m, mp):
         # T * (T^-1 D^<m><k> x, converted to the left) == D^<m><k> x
-        theta = SymbolPoly(p, 0, 1, {(1,): Poly.var(power=xe)})  # x^xe xi
+        theta = SymbolPoly(p, 0, 1, {(1,): coeff})
         T = MicroOp.from_diffop(build_theta_tilde(theta, m, mp).op, theta, mp)
         for k in range(3):
             Q = DiffOp.dx(p, m, k) * DiffOp.x(p, m)
@@ -200,7 +215,7 @@ class TestInversion:
 
     def test_monomial_chart(self):
         theta = SymbolPoly(2, 0, 1, {(1,): Poly.var()})  # x xi
-        T = build_theta_tilde(theta, 0, 0, "left").op  # x d
+        T = build_theta_tilde(theta, 0, 0).op  # x d
         rep = try_invert(T, theta, 0, floor=-6, laurent=True)
         assert rep.ok
         assert rep.inverse.terms == {((0,), 1): Poly.const(1)}

@@ -151,10 +151,17 @@ class TestTermAlgebra:
 
     def test_symbol_rendering(self):
         assert str(SymbolPoly(2, 0, 2, self.TERMS2)) == (
-            "3 + 1/2*x1*xi_1 - x2*xi_0^2 + (1 + x1)*xi_0*xi_1^2")
+            "3 + 1/2*x1*xi2 - x2*xi1^2 + (1 + x1)*xi1*xi2^2")
         assert str(SymbolPoly(3, 0, 1, self.TERMS1)) == "-2 + x*xi + (-1 + x)*xi^3"
         assert str(SymbolPoly(3, 1, 1, self.TERMS1)) == "-2 + x*xi1[1] + (-1 + x)*xi1[3]"
         assert str(SymbolPoly.zero(2, 0)) == "0"
+
+    def test_symbol_rendering_names_coordinates_like_operators(self):
+        # at d >= 2 the coordinate is 1-based and kept apart from the level,
+        # as in render_diffop's D1[1,1] and the parser's xi<j>
+        assert str(SymbolPoly(2, 1, 2, {(1, 2): 1})) == "xi1[1,1]*xi2[1,2]"
+        assert str(SymbolPoly(2, 1, 2, self.TERMS2)) == (
+            "3 + 1/2*x1*xi2[1,1] - x2*xi1[1,2] + (1 + x1)*xi1[1,1]*xi2[1,2]")
 
     def test_operator_rendering(self):
         assert render_diffop(DiffOp(2, 0, 2, self.TERMS2)) == (

@@ -37,10 +37,6 @@ class SearchBoundExceeded(MicrodiffError):
     """A bounded search ran out of budget without a decision."""
 
 
-class BudgetExhausted(MicrodiffError):
-    """An Ore witness search exhausted its budget (not a nonexistence proof)."""
-
-
 class IncompatibleLocalizer(MicrodiffError):
     """Micro-operators presented over different localizers."""
 

@@ -24,6 +24,7 @@ from .errors import (
     InvalidParameter,
     LevelMismatch,
     NotInvertibleAtSymbol,
+    SearchBoundExceeded,
     SymbolMismatch,
 )
 from .padic import (
@@ -388,6 +389,23 @@ def _push(T: DiffOp, i: int, Q: DiffOp, floor, korder: int, signed: bool, memo: 
     for j in range(i, 0, -1):
         cur = _push_once(T, cur, j - 1, floor, korder, signed, memo)
     return cur
+
+
+def ore_witness(T: DiffOp, a: DiffOp):
+    """The Ore pair (T^N, r) with a * T^N = T * r, N the first s with ad_T^s(a) = 0.
+
+    From T^(-1) a = sum_t D_t T^(-t): r = sum_t D_t T^(N-t).  Raises
+    SearchBoundExceeded when ad_T is not nilpotent on a.
+    """
+    try:
+        pushed = _push(T, 1, a, -INF, T.order(), True, {})
+    except ValueError:
+        raise SearchBoundExceeded("ad_T is not nilpotent on a: no T^N is an Ore witness") from None
+    N = max(pushed, default=0)
+    r = DiffOp.zero(a.p, a.m, a.d)
+    for t, D in pushed.items():
+        r = r + D * T ** (N - t)
+    return T**N, r
 
 
 def _right_decompose(D: DiffOp) -> dict:

@@ -102,6 +102,8 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, Poly):
+            return NotImplemented  # e.g. a DiffOp, which scales by a left Poly
         self._check(other)
         out = {}
         for e1, c1 in self.coeffs.items():

@@ -117,6 +117,12 @@ class TestMultiply:
         assert DiffOp.dx(2, 1, 2) * x == DiffOp.dx(2, 1, 2) * DiffOp.x(2, 1)
         assert 3 * d_ == d_ * 3 == d_.scale(3)
 
+    def test_poly_factor_on_the_left_scales(self):
+        # a Poly on the left is a coefficient: x * d is the operator x1*d1
+        x = Poly.var()
+        assert x * DiffOp.dx(2, 0) == DiffOp.x(2, 0) * DiffOp.dx(2, 0)
+        assert x * DiffOp.dx(2, 1, 3) == DiffOp(2, 1, 1, {(3,): x})
+
     def test_divided_square(self):
         P = DiffOp.dx(2, 1, 2)
         assert P * P == DiffOp.dx(2, 1, 4).scale(3)
@@ -225,6 +231,19 @@ class TestOrderAndSymbol:
             if (sP * sQ).is_zero():
                 continue
             assert order_and_symbol(P * Q).symbol == (sP * sQ).mod_p()
+
+    @pytest.mark.parametrize(
+        "P,want",
+        [
+            (DiffOp.dx(2, 0) - DiffOp.x(2, 0), SymbolPoly.xi(2, 0)),
+            # the order ignores p-adic size: 2 d^2 -> 2 xi^2 over Q
+            (DiffOp.dx(2, 0, 2).scale(2), SymbolPoly.xi(2, 0, 2).scale(2)),
+            (DiffOp.zero(2, 0), SymbolPoly.zero(2, 0)),
+        ],
+        ids=["d-x", "2d^2", "zero"],
+    )
+    def test_symbol_exact(self, P, want):
+        assert P.symbol_exact() == want
 
 
 class TestLevelMap:

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microdiff.diffop import DiffOp, build_theta_tilde
-from microdiff.errors import NotInvertibleAtSymbol, SymbolMismatch
+from microdiff.errors import NotInvertibleAtSymbol, SearchBoundExceeded, SymbolMismatch
 from microdiff.microloc import (
     MicroOp,
     alpha_bound,
@@ -17,6 +19,7 @@ from microdiff.microloc import (
     micro_multiply,
     normcalc_bounds,
     observed_a_bound,
+    ore_witness,
     psi_level_lower,
     term_order,
     try_invert,
@@ -376,3 +379,64 @@ class TestSerialization:
             assert back._meta() == P._meta()
             assert back.floor == P.floor
             assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+
+class TestOreWitness:
+    """(s', r) = ore_witness(s, a) satisfies a * s' = s * r exactly."""
+
+    def test_zero_a(self):
+        sp, r = ore_witness(DiffOp.dx(2, 0), DiffOp.zero(2, 0))
+        assert sp == DiffOp.one(2, 0) and r.is_zero()
+
+    def test_commutative_style_witness(self):
+        # constant-coefficient a and s commute: the witness is (s, a)
+        s = DiffOp.dx(2, 0)
+        a = DiffOp.dx(2, 0, 3)
+        sp, r = ore_witness(s, a)
+        assert a * sp == s * r and (sp, r) == (s, a)
+
+    def test_x_against_d(self):
+        s = DiffOp.dx(2, 0)
+        a = DiffOp.x(2, 0)
+        sp, r = ore_witness(s, a)
+        assert a * sp == s * r
+        assert not sp.is_zero() and not r.is_zero()
+
+    def test_x_against_d_minus_x(self):
+        s = DiffOp.dx(3, 0) - DiffOp.x(3, 0)
+        a = DiffOp.x(3, 0)
+        sp, r = ore_witness(s, a)
+        assert a * sp == s * r and not sp.is_zero()
+
+    def test_not_nilpotent_raises(self):
+        # ad_{x d}(x) = x is never zero, so no power of x d is a witness
+        s = DiffOp.x(2, 0) * DiffOp.dx(2, 0)
+        with pytest.raises(SearchBoundExceeded):
+            ore_witness(s, DiffOp.x(2, 0))
+
+    def test_level1_witness(self):
+        s = DiffOp.dx(2, 1, 2)
+        a = DiffOp.x(2, 1)
+        sp, r = ore_witness(s, a)
+        assert a * sp == s * r
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_witness_identity_at_theta_xi(self, data):
+        p = data.draw(st.sampled_from([2, 3]))
+        m = data.draw(st.integers(0, 2))
+        mp = data.draw(st.integers(m, 2))
+        polys = st.dictionaries(
+            st.tuples(st.integers(0, 3)), st.integers(-4, 4), max_size=3
+        ).map(lambda c: Poly(1, c))
+        terms = data.draw(st.dictionaries(st.tuples(st.integers(0, 4)), polys, max_size=3))
+        a = DiffOp(p, m, 1, terms)
+        T = build_theta_tilde(SymbolPoly.xi(p, 0), m, mp).op
+        sp, r = ore_witness(T, a)
+        N = 0
+        c = a
+        while not c.is_zero():
+            c = T.commutator(c)
+            N += 1
+        assert sp == T**N
+        assert a * sp == T * r

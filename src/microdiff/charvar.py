@@ -12,7 +12,6 @@ come from explicit inversion attempts in the microlocalized ring and are
 cross-checked against the variety where both sides carry clean certificates.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -23,26 +22,22 @@ from .errors import (
     SymbolMismatch,
     ZeroOperator,
 )
-from .fpx import Fpx
 from .padic import binomial_structure_constant_exact, check_prime_and_level
 from .polynomials import Poly
 from .pseudopoly import digit_decomposition, SymbolPoly
 from .diffop import DiffOp, level_map_phi
-from .microloc import try_invert
+from .record import FrozenRecord, Record
 
 
 # -- domain types ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(FrozenRecord):
     """Exploration bounds for standard-basis completion; part of every
     certificate — nothing is claimed beyond them."""
 
-    max_order: int = 16
-    max_xdeg: int = 24
-    precision: int = 20
-    max_steps: int = 400
+    _fields = ("max_order", "max_xdeg", "precision", "max_steps")
+    _defaults = {"max_order": 16, "max_xdeg": 24, "precision": 20, "max_steps": 400}
 
     def to_json(self):
         return {
@@ -83,29 +78,23 @@ class CyclicModule:
         return CyclicModule(self.p, mprime, [level_map_phi(P, mprime) for P in self.relations])
 
 
-@dataclass
-class OrderStandardBasis:
-    basis: list  # DiffOps, integral, p-content 0
-    bounds: Bounds
-    complete: bool
-    pairs_checked: int
-    leading: list  # [(order n, mod-p top coefficient Poly)] per basis element
-    notes: list = field(default_factory=list)
+class OrderStandardBasis(Record):
+    # basis: DiffOps, integral, p-content 0; leading: [(order n, mod-p top
+    # coefficient Poly)] per basis element; notes: a fresh list by default
+    _fields = ("basis", "bounds", "complete", "pairs_checked", "leading", "notes")
+    _defaults = {"notes": list}
 
 
-@dataclass
-class CharVariety:
+class CharVariety(Record):
     """Conical closed subset of the level-m cotangent chart (x, Xi)."""
 
-    char_class: str  # empty | whole-space | zero-section |
-    #                  zero-section-and-fibers | fiber-set | point-set |
-    #                  points-and-fibers
-    zero_section: bool
-    fibers: list  # irreducible mod-p factors (strings) carrying a full fiber
-    points: list  # factors carrying only the zero-section point above them
-    generators: list  # reduced chart generators, as strings "f(x)*Xi^a"
-    complete: bool
-    bounds: Bounds
+    # char_class: empty | whole-space | zero-section | zero-section-and-fibers
+    #   | fiber-set | point-set | points-and-fibers
+    # fibers: irreducible mod-p factors (strings) carrying a full fiber
+    # points: factors carrying only the zero-section point above them
+    # generators: reduced chart generators, as strings "f(x)*Xi^a"
+    _fields = ("char_class", "zero_section", "fibers", "points", "generators",
+               "complete", "bounds")
 
     def punctured_part(self):
         """Fiber factors visible off the zero section (xi != 0)."""
@@ -361,6 +350,8 @@ def _reduced_chart_generators(sb: OrderStandardBasis, p: int, m: int):
     zero low digits (the other basis vectors are nilpotent mod p); it lands
     on f(x).Xi^(n/p^m) up to a unit.
     """
+    from .fpx import Fpx  # F_p[x] loads only where a variety is classified
+
     gens = []  # (a, Fpx)
     q = p**m
     for n, f in sb.leading:
@@ -430,18 +421,18 @@ def char_variety(M: CyclicModule, bounds: Bounds = Bounds()) -> CharVariety:
 # -- microlocal support ----------------------------------------------------------
 
 
-@dataclass
-class SupportVerdict:
-    level: int
-    chart_class: str  # "generic" or "fiber[<factor>]"
-    verdict: str  # "Vanishes" | "PersistsUpToWindow"
-    note: str = ""
-    betas: tuple = ()  # (order, beta) pairs by descending order
+class SupportVerdict(Record):
+    # chart_class: "generic" or "fiber[<factor>]"; verdict: "Vanishes" |
+    # "PersistsUpToWindow"; betas: (order, beta) pairs by descending order
+    _fields = ("level", "chart_class", "verdict", "note", "betas")
+    _defaults = {"note": "", "betas": ()}
 
 
 def _degenerate_fiber_factors(P: DiffOp):
     """Irreducible mod-p factors of the top coefficient: the x-fibers where
     the leading symbol degenerates and the generic inversion says nothing."""
+    from .fpx import Fpx
+
     lead = _mod_p_leading(P)
     if lead is None:
         return []
@@ -462,6 +453,8 @@ def micro_support_test(
     diagnostic evidence only.  When a certified char_variety is supplied the
     punctured parts are cross-checked.
     """
+    from .microloc import try_invert  # char and stability never load microloc
+
     p = M.p
     out = {"levels": {}, "crosscheck": None}
     for level in levels:

@@ -7,25 +7,17 @@ byte-deterministic for a fixed command line.
 """
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
 
 from .errors import ExprSyntaxError, InvalidParameter, MicrodiffError
-from .padic import check_prime_and_level
+from .padic import check_prime_and_level, normcalc_bounds
 from .polynomials import Poly
 from .pseudopoly import SymbolPoly
 from .diffop import DiffOp, level_map_phi, order_and_symbol, render_diffop
-from .microloc import (
-    MicroOp,
-    change_presentation_level,
-    membership_intermediate,
-    micro_multiply,
-    normcalc_bounds,
-    psi_level_lower,
-    try_invert,
-)
+# microloc is imported where a value needs it: a Tinv atom, the psi, invert
+# and member commands; a command without one never loads it
 from .charvar import (
     Bounds,
     CyclicModule,
@@ -47,6 +39,22 @@ EXIT_PARTIAL = 2
 # Parentheses and unary minus signs nest at most this deep; each level costs
 # a few Python frames in the recursive descent below.
 MAX_NESTING = 100
+
+# No `^` takes a larger exponent: `mul --p 2 --expr "(d1+x1)^32"` takes about
+# 0.3 s of CPU on one Xeon core, and each doubling of the exponent costs 7 to
+# 10 times more.
+MAX_EXPONENT = 32
+
+# The parser's value types by rank; a mixed sum or product is lifted to the
+# higher rank.  Any other value is a MicroOp (rank 3), which only a Tinv atom
+# makes, so this table names no microloc type.
+_RANK = {int: 0, Fraction: 0, SymbolPoly: 1, DiffOp: 2}
+_MICRO = 3
+
+
+def _rank(v):
+    return _RANK.get(type(v), _MICRO)
+
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()\[\],=]))"
@@ -141,7 +149,7 @@ class _Parser:
         v = self.atom()
         while self.peek()[:2] == ("op", "^"):
             self.take("op", "^")
-            if isinstance(v, MicroOp):
+            if _rank(v) == _MICRO:
                 raise ExprSyntaxError(
                     "no powers of micro-operators: write Tinv<w>(...) or an explicit product"
                 )
@@ -149,7 +157,13 @@ class _Parser:
             if self.peek()[:2] == ("op", "-"):
                 self.take("op", "-")
                 neg = True
-            e = self.take("num")[1]
+            tok = self.take("num")
+            e = tok[1]
+            if e > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    f"exponent {e} exceeds the cap of {MAX_EXPONENT}",
+                    span=(tok[2], tok[2] + len(str(e))),
+                )
             if neg:
                 if isinstance(v, (int, Fraction)):
                     if v == 0 and e:
@@ -236,6 +250,8 @@ class _Parser:
         self.take("op", ")")
         m_lvl = args[0] if args else self.s.level
         mprime = args[1] if len(args) > 1 else m_lvl
+        from .microloc import MicroOp
+
         return MicroOp(
             theta,
             m_lvl,
@@ -261,35 +277,33 @@ class _Parser:
 
     def _mul(self, a, b):
         a, b = self._coerce(a, b)
-        if isinstance(a, MicroOp) and isinstance(b, MicroOp):
+        if _rank(a) == _MICRO:
+            from .microloc import micro_multiply
+
             return micro_multiply(a, b)
         return a * b
 
     def _coerce(self, a, b):
         """Lift scalars and DiffOps so both operands share a type."""
-        order = {int: 0, Fraction: 0, SymbolPoly: 1, DiffOp: 2, MicroOp: 3}
-
-        def rank(v):
-            return order[type(v)] if type(v) in order else order[Fraction]
-
-        hi = max(rank(a), rank(b))
+        hi = max(_rank(a), _rank(b))
         return self._lift(a, hi, b), self._lift(b, hi, a)
 
     def _lift(self, v, hi, other):
+        # at rank _MICRO, other is a MicroOp: type(other) is the class
         if isinstance(v, (int, Fraction)):
             c = Fraction(v)
             if hi == 1:
                 return SymbolPoly.scalar(c, self.s.p, other.m, self.s.d)
             if hi == 2:
                 return DiffOp.scalar(c, self.s.p, other.m, self.s.d)
-            if hi == 3:
-                return MicroOp.one(
+            if hi == _MICRO:
+                return type(other).one(
                     other.theta, other.level, other.mprime,
                     floor=other.floor, laurent=other.laurent,
                 ).scale(c)
             return c
-        if isinstance(v, DiffOp) and hi == 3:
-            return MicroOp.from_diffop(
+        if isinstance(v, DiffOp) and hi == _MICRO:
+            return type(other).from_diffop(
                 v, other.theta, other.mprime, floor=other.floor, laurent=other.laurent
             )
         if isinstance(v, SymbolPoly) and hi >= 2:
@@ -335,7 +349,7 @@ def _render(v):
 
 
 def _json_value(v):
-    if isinstance(v, MicroOp):
+    if _rank(v) == _MICRO:
         return v.to_json()
     if isinstance(v, DiffOp):
         return {"kind": "diffop", "level": v.m, "text": render_diffop(v)}
@@ -349,6 +363,8 @@ def _emit(args, payload, exit_code):
     payload = dict(payload)
     payload["schema"] = SCHEMA
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in _human_lines(payload):
@@ -410,8 +426,10 @@ def cmd_levelmap(args, session):
 
 def cmd_psi(args, session):
     v = parse(args.expr, session)
-    if not isinstance(v, MicroOp):
+    if _rank(v) != _MICRO:
         raise ExprSyntaxError("psi needs a microlocal operator")
+    from .microloc import psi_level_lower
+
     w = psi_level_lower(v, args.m)
     payload = {"command": "psi", "p": session.p, "m": args.m,
                "result": _json_value(w), "text": str(w)}
@@ -420,9 +438,11 @@ def cmd_psi(args, session):
 
 def cmd_invert(args, session):
     v = parse(args.expr, session)
-    if not isinstance(v, (DiffOp, MicroOp)):
+    if _rank(v) < 2:
         raise ExprSyntaxError("invert needs a differential or microlocal operator")
     theta = parse_symbol(args.theta, session)
+    from .microloc import try_invert
+
     rep = try_invert(v, theta, args.mprime, floor=session.window_floor, laurent=args.laurent)
     payload = {
         "command": "invert",
@@ -441,8 +461,10 @@ def cmd_invert(args, session):
 
 def cmd_member(args, session):
     v = parse(args.P, session)
-    if isinstance(v, DiffOp):
+    if _rank(v) != _MICRO:
         raise ExprSyntaxError("member needs a microlocal operator (use Tinv)")
+    from .microloc import change_presentation_level, membership_intermediate
+
     if v.level != args.mprime:
         v = change_presentation_level(v, args.mprime)
     verdict = membership_intermediate(v, args.m)
@@ -583,80 +605,73 @@ def build_parser():
         "operators, microlocalizations, and characteristic varieties (d=1).",
     )
 
-    def common(sp):
-        sp.add_argument("--p", type=int, required=True, help="the prime")
-        sp.add_argument("--precision", type=int, default=20)
-        sp.add_argument("--window-floor", type=int, default=-12, dest="window_floor")
-        sp.add_argument("--max-order", type=int, default=16, dest="max_order")
-        sp.add_argument("--max-xdeg", type=int, default=24, dest="max_xdeg")
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--level", type=int, default=0, help="working level m")
-        sp.add_argument("--laurent", action="store_true",
-                        help="allow monomial units (punctured x-chart)")
+    # the options every command takes, shared through argparse's parents
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=int, required=True, help="the prime")
+    common.add_argument("--precision", type=int, default=20)
+    common.add_argument("--window-floor", type=int, default=-12, dest="window_floor")
+    common.add_argument("--max-order", type=int, default=16, dest="max_order")
+    common.add_argument("--max-xdeg", type=int, default=24, dest="max_xdeg")
+    common.add_argument("--json", action="store_true")
+    common.add_argument("--config", default=None)
+    common.add_argument("--level", type=int, default=0, help="working level m")
+    common.add_argument("--laurent", action="store_true",
+                            help="allow monomial units (punctured x-chart)")
 
     sub = top.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("mul", help="evaluate an operator expression")
-    common(sp)
+    def command(name, help):
+        return sub.add_parser(name, parents=[common], help=help)
+
+    sp = command("mul", "evaluate an operator expression")
     sp.add_argument("--expr", required=True)
     sp.set_defaults(func=cmd_mul)
 
-    sp = sub.add_parser("symbol", help="order and principal symbol mod p")
-    common(sp)
+    sp = command("symbol", "order and principal symbol mod p")
     sp.add_argument("--expr", required=True)
     sp.set_defaults(func=cmd_symbol)
 
-    sp = sub.add_parser("levelmap", help="canonical map to a higher level")
-    common(sp)
+    sp = command("levelmap", "canonical map to a higher level")
     sp.add_argument("--expr", required=True)
     sp.add_argument("--mprime", type=int, required=True)
     sp.set_defaults(func=cmd_levelmap)
 
-    sp = sub.add_parser("psi", help="level-lowering map on microlocal operators")
-    common(sp)
+    sp = command("psi", "level-lowering map on microlocal operators")
     sp.add_argument("--expr", required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.set_defaults(func=cmd_psi)
 
-    sp = sub.add_parser("invert", help="attempt microlocal inversion")
-    common(sp)
+    sp = command("invert", "attempt microlocal inversion")
     sp.add_argument("--expr", required=True)
     sp.add_argument("--theta", default="xi1")
     sp.add_argument("--mprime", type=int, required=True)
     sp.set_defaults(func=cmd_invert)
 
-    sp = sub.add_parser("member", help="intermediate-ring membership")
-    common(sp)
+    sp = command("member", "intermediate-ring membership")
     sp.add_argument("--P", required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--mprime", type=int, required=True)
     sp.set_defaults(func=cmd_member)
 
-    sp = sub.add_parser("char", help="characteristic variety of a cyclic module")
-    common(sp)
+    sp = command("char", "characteristic variety of a cyclic module")
     sp.add_argument("--rel", action="append", required=True)
     sp.set_defaults(func=cmd_char)
 
-    sp = sub.add_parser("supp", help="microlocal support verdicts")
-    common(sp)
+    sp = command("supp", "microlocal support verdicts")
     sp.add_argument("--rel", action="append", required=True)
     sp.add_argument("--at-levels", type=int, nargs="*", dest="at_levels")
     sp.set_defaults(func=cmd_supp)
 
-    sp = sub.add_parser("stability", help="Char table over levels, and the least stable level")
-    common(sp)
+    sp = command("stability", "Char table over levels, and the least stable level")
     sp.add_argument("--rel", action="append", required=True)
     sp.add_argument("--mprime-max", type=int, required=True, dest="mprime_max")
     sp.set_defaults(func=cmd_stability)
 
-    sp = sub.add_parser("verify-counterexample", help="non-stability suite")
-    common(sp)
+    sp = command("verify-counterexample", "non-stability suite")
     sp.add_argument("--nmax", type=int, default=30)
     sp.set_defaults(func=cmd_verify_counterexample)
 
-    sp = sub.add_parser("normcalc-bounds", help="valuation bounds a_k, b_k")
-    common(sp)
+    sp = command("normcalc-bounds", "valuation bounds a_k, b_k")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--mprime", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -25,6 +24,7 @@ from .errors import (
 from .padic import divided_lift
 from .polynomials import Poly
 from .pseudopoly import SymbolPoly, TermAlgebra, rational_level_change, theta_variants
+from .record import FrozenRecord
 
 INF = math.inf
 
@@ -152,11 +152,10 @@ class DiffOp(TermAlgebra):
         return SymbolPoly(self.p, self.m, self.d, self.terms).top_part()
 
 
-@dataclass(frozen=True)
-class OrderSymbol:
-    order: int
-    symbol: SymbolPoly  # top symbol over the special fiber (mod p)
-    secondary: object  # None, or (order, symbol) of the first nonvanishing reduction
+class OrderSymbol(FrozenRecord):
+    # symbol: the top symbol over the special fiber (mod p); secondary: None,
+    # or (order, symbol) of the first nonvanishing reduction
+    _fields = ("order", "symbol", "secondary")
 
 
 def order_and_symbol(P: DiffOp) -> OrderSymbol:
@@ -198,12 +197,11 @@ def reduce_mod(P: DiffOp, i: int) -> DiffOp:
     return DiffOp(P.p, P.m, P.d, {k: c.map_coeffs(red) for k, c in P.terms.items()})
 
 
-@dataclass(frozen=True)
-class ThetaTilde:
-    """The lift of a theta symbol to a differential operator localizer."""
+class ThetaTilde(FrozenRecord):
+    """The lift of a theta symbol to a differential operator localizer: the
+    DiffOp ``op`` and its ``order``, n * p^m' for theta of degree n."""
 
-    op: DiffOp
-    order: int  # n * p^m', for theta of degree n
+    _fields = ("op", "order")
 
 
 @functools.lru_cache(maxsize=64)

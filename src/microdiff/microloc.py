@@ -15,25 +15,26 @@ statements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffop import DiffOp, ThetaTilde, build_theta_tilde, render_diffop
 from .errors import (
     IncompatibleLocalizer,
-    InvalidParameter,
     LevelMismatch,
     NotInvertibleAtSymbol,
     SearchBoundExceeded,
     SymbolMismatch,
 )
-from .padic import (
+from .padic import (  # alpha_bound and normcalc_bounds are exported here too
+    alpha_bound,
     binomial_structure_constant_exact,
     level_factorial_ratio_exact,
     level_shift_constant,
+    normcalc_bounds,
 )
 from .polynomials import Poly
 from .pseudopoly import SymbolPoly, check_theta
+from .record import FrozenRecord
 
 INF = math.inf
 
@@ -497,13 +498,12 @@ def convert_presentation(P: MicroOp, target_side: str) -> MicroOp:
 # -- inversion --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvergenceProfile:
-    """Per-order spectral-size exponents beta (|b| = p^beta), with verdict."""
+class ConvergenceProfile(FrozenRecord):
+    """Per-order spectral-size exponents beta (|b| = p^beta), with verdict:
+    ``betas`` maps an order to the max exponent of |coefficient|."""
 
-    betas: dict  # order -> max exponent of |coefficient|
-    bounded: bool
-    note: str = ""
+    _fields = ("betas", "bounded", "note")
+    _defaults = {"note": ""}
 
     def pairs(self) -> tuple:
         """The (order, beta) pairs by descending order."""
@@ -539,14 +539,11 @@ def validate_convergence(P: MicroOp) -> ConvergenceProfile:
     return ConvergenceProfile(betas, True, note)
 
 
-@dataclass(frozen=True)
-class InversionReport:
-    ok: bool
-    inverse: object  # MicroOp or None
-    profile: ConvergenceProfile
-    left_residual_below_floor: bool
-    right_residual_below_floor: bool
-    note: str = ""
+class InversionReport(FrozenRecord):
+    # inverse: a MicroOp or None; profile: a ConvergenceProfile
+    _fields = ("ok", "inverse", "profile", "left_residual_below_floor",
+               "right_residual_below_floor", "note")
+    _defaults = {"note": ""}
 
 
 def invert_theta_tilde(theta: SymbolPoly, level: int, mprime: int, floor, laurent=False) -> MicroOp:
@@ -662,10 +659,9 @@ def psi_level_lower(P: MicroOp, m: int) -> MicroOp:
     return change_presentation_level(P, m)
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    status: str  # "InEmm'" | "OnlyInEm'" | "Undetermined" | "NotInEm'"
-    witness: str
+class MembershipVerdict(FrozenRecord):
+    # status: "InEmm'" | "OnlyInEm'" | "Undetermined" | "NotInEm'"
+    _fields = ("status", "witness")
 
 
 def membership_intermediate(P: MicroOp, m: int) -> MembershipVerdict:
@@ -701,37 +697,6 @@ def membership_intermediate(P: MicroOp, m: int) -> MembershipVerdict:
             f"psi image term {worst[1]} has valuation {worst[0]} at order >= 0",
         )
     return MembershipVerdict("InEmm'", "integral at level m' and psi image integral for orders >= 0")
-
-
-# -- norm bounds -----------------------------------------------------------------
-
-
-def alpha_bound(k: int, m: int, p: int, d: int = 1) -> int:
-    """alpha_{k,m,1} = max(0, floor(d - k p^(-(m+1)) + 1))."""
-    val = math.floor(Fraction(d) - Fraction(k, p ** (m + 1)) + 1)
-    return max(0, val)
-
-
-def normcalc_bounds(d: int, p: int, m: int, mprime: int, k: int) -> dict:
-    """Closed-form denominator bounds for the (m, m') comparison at order k.
-
-    a_k bounds the p-power needed to make terms of order >= k integral in the
-    level-m' presentation; b_k the converse direction.  a_k = 0 once
-    d*p^(m'+1) < k, and b_k = 0 for k < p^(m+1).  Orders k < 0 need no
-    bound (``membership_intermediate`` treats them as automatic) and are
-    rejected.
-    """
-    if not 0 <= m <= mprime:
-        raise LevelMismatch(f"need 0 <= m <= m', got m = {m} and m' = {mprime}")
-    if k < 0:
-        raise InvalidParameter(f"need an order k >= 0, got {k}")
-    alphas = {s: alpha_bound(k, s, p, d) for s in range(m, mprime)}
-    if d * p ** (mprime + 1) < k:
-        a_k = 0
-    else:
-        a_k = sum(alphas.values())
-    b_k = sum(k // p**i for i in range(m + 1, mprime + 1))
-    return {"a_k": a_k, "b_k": b_k, "alpha": alphas}
 
 
 def observed_a_bound(p: int, m: int, mprime: int, k: int, imax: int = 3) -> int:

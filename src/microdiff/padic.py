@@ -2,7 +2,9 @@
 
 All structure constants of the divided-power calculus are exact rationals
 (plain ``fractions.Fraction`` values); their p-integrality is read off
-with ``valuation``.
+with ``valuation``.  The closed-form valuation bounds of the level
+comparison (``normcalc_bounds``) live here too: pure formulas, so the
+``normcalc-bounds`` command needs no microlocal machinery.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, LevelMismatch
 
 #: sentinel valuation of zero
 INF = math.inf
@@ -112,3 +114,34 @@ def binomial_structure_constant_exact(p: int, m: int, k, kprime) -> Fraction:
             math.factorial(q_part(kj + kpj, p, m)),
         )
     return c
+
+
+# -- norm bounds -----------------------------------------------------------------
+
+
+def alpha_bound(k: int, m: int, p: int, d: int = 1) -> int:
+    """alpha_{k,m,1} = max(0, floor(d - k p^(-(m+1)) + 1))."""
+    val = math.floor(Fraction(d) - Fraction(k, p ** (m + 1)) + 1)
+    return max(0, val)
+
+
+def normcalc_bounds(d: int, p: int, m: int, mprime: int, k: int) -> dict:
+    """Closed-form denominator bounds for the (m, m') comparison at order k.
+
+    a_k bounds the p-power needed to make terms of order >= k integral in the
+    level-m' presentation; b_k the converse direction.  a_k = 0 once
+    d*p^(m'+1) < k, and b_k = 0 for k < p^(m+1).  Orders k < 0 need no
+    bound (``microloc.membership_intermediate`` treats them as automatic) and are
+    rejected.
+    """
+    if not 0 <= m <= mprime:
+        raise LevelMismatch(f"need 0 <= m <= m', got m = {m} and m' = {mprime}")
+    if k < 0:
+        raise InvalidParameter(f"need an order k >= 0, got {k}")
+    alphas = {s: alpha_bound(k, s, p, d) for s in range(m, mprime)}
+    if d * p ** (mprime + 1) < k:
+        a_k = 0
+    else:
+        a_k = sum(alphas.values())
+    b_k = sum(k // p**i for i in range(m + 1, mprime + 1))
+    return {"a_k": a_k, "b_k": b_k, "alpha": alphas}

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from microdiff.cli import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_PARTIAL,
+    MAX_EXPONENT,
     Session,
     main,
     parse,
@@ -68,6 +70,14 @@ class TestParser:
         with pytest.raises(ExprSyntaxError, match="nested too deeply"):
             parse("Tinv(" * 1200 + "xi1" + ")" * 1200, self.s)
         assert parse("(" * 50 + "d1" + ")" * 50, self.s) == DiffOp.dx(2, 0)
+
+    def test_exponent_cap(self):
+        assert parse(f"p^{MAX_EXPONENT}", self.s) == 2**MAX_EXPONENT
+        assert parse(f"p^-{MAX_EXPONENT}", self.s) == Fraction(1, 2**MAX_EXPONENT)
+        for text in (f"d1^{MAX_EXPONENT + 1}", f"p^-{MAX_EXPONENT + 1}"):
+            with pytest.raises(ExprSyntaxError, match="exceeds the cap") as exc:
+                parse(text, self.s)
+            assert exc.value.span == (3, len(text))  # the exponent's digits
 
     def test_flat_sum_of_5000_terms(self):
         assert parse(" + ".join(["x1"] * 5000), self.s) == DiffOp.x(2, 0).scale(5000)
@@ -299,6 +309,9 @@ class TestBoundary:
         ("mul", "--p", "2", "--expr", "(" * 1200 + "d1" + ")" * 1200),
         ("mul", "--p", "2", "--expr=" + "-" * 3000 + "d1"),
         ("mul", "--p", "2", "--expr", "Tinv(" * 1200 + "xi1" + ")" * 1200),
+        ("mul", "--p", "2", "--expr", "(d1+x1)^200"),
+        ("member", "--p", "2", "--P", "3", "--m", "0", "--mprime", "1"),
+        ("member", "--p", "2", "--P", "xi1", "--m", "0", "--mprime", "1"),
     ]
 
     @pytest.mark.parametrize(
@@ -308,7 +321,8 @@ class TestBoundary:
              "theta-inhomogeneous", "theta-degree-0", "normcalc-m-above-mprime",
              "invert-scalar", "invert-symbol", "nmax-below-3", "normcalc-k-negative",
              "stability-mprime-below-level", "microop-power", "zero-negative-power",
-             "nested-parentheses", "nested-minus", "nested-tinv"],
+             "nested-parentheses", "nested-minus", "nested-tinv", "exponent-above-cap",
+             "member-scalar", "member-symbol"],
     )
     def test_one_error_line_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -39,14 +39,6 @@ class Bounds(FrozenRecord):
     _fields = ("max_order", "max_xdeg", "precision", "max_steps")
     _defaults = {"max_order": 16, "max_xdeg": 24, "precision": 20, "max_steps": 400}
 
-    def to_json(self):
-        return {
-            "max_order": self.max_order,
-            "max_xdeg": self.max_xdeg,
-            "precision": self.precision,
-            "max_steps": self.max_steps,
-        }
-
 
 class CyclicModule:
     """M = D^(m)/(sum D.P_j), presented by p-integral operators.
@@ -101,17 +93,6 @@ class CharVariety(Record):
         if self.char_class == "whole-space":
             return None  # everything
         return sorted(self.fibers)
-
-    def to_json(self):
-        return {
-            "char_class": self.char_class,
-            "zero_section": self.zero_section,
-            "fibers": self.fibers,
-            "points": self.points,
-            "generators": self.generators,
-            "complete": self.complete,
-            "bounds": self.bounds.to_json(),
-        }
 
 
 # -- mod-p leading data ------------------------------------------------------------
@@ -405,16 +386,11 @@ def char_variety(M: CyclicModule, bounds: Bounds = Bounds()) -> CharVariety:
     """Characteristic variety of M at its own level, within bounds."""
     sb = order_standard_basis(M, bounds)
     gens = _reduced_chart_generators(sb, M.p, M.m)
-    info = _classify(gens, M.p)
-    gen_strs = [str(f) + (f"*Xi^{a}" if a else "") for a, f in gens]
     return CharVariety(
-        info["char_class"],
-        info["zero_section"],
-        info["fibers"],
-        info["points"],
-        gen_strs,
-        sb.complete,
-        bounds,
+        **_classify(gens, M.p),
+        generators=[str(f) + (f"*Xi^{a}" if a else "") for a, f in gens],
+        complete=sb.complete,
+        bounds=bounds,
     )
 
 
@@ -450,40 +426,28 @@ def micro_support_test(
 
     A clean two-sided inverse of a relation certifies vanishing off the zero
     section; otherwise the bounded-window expansion is reported as
-    diagnostic evidence only.  When a certified char_variety is supplied the
-    punctured parts are cross-checked.
+    diagnostic evidence only.  When the certified char_variety of M is
+    supplied, the punctured parts at M's own level are cross-checked with it.
     """
     from .microloc import try_invert  # char and stability never load microloc
 
-    p = M.p
+    xi = SymbolPoly.xi(M.p, 0, 1)
     out = {"levels": {}, "crosscheck": None}
     for level in levels:
         verdicts = []
         fiber_factors = set()
         for P in M.relations:
             Pl = level_map_phi(P, level) if level > M.m else P
-            xi = SymbolPoly.xi(p, 0, 1)
             try:
                 rep = try_invert(Pl, xi, level, floor=window, laurent=True)
+                betas = rep.profile.pairs()
                 if rep.ok:
-                    verdicts.append(
-                        SupportVerdict(
-                            level, "generic", "Vanishes",
-                            "two-sided inverse with residual certificate",
-                            rep.profile.pairs(),
-                        )
-                    )
+                    verdict, note = "Vanishes", "two-sided inverse with residual certificate"
                 else:
-                    verdicts.append(
-                        SupportVerdict(
-                            level, "generic", "PersistsUpToWindow",
-                            rep.note, rep.profile.pairs(),
-                        )
-                    )
+                    verdict, note = "PersistsUpToWindow", rep.note
             except (SymbolMismatch, NotInvertibleAtSymbol, ZeroOperator) as exc:
-                verdicts.append(
-                    SupportVerdict(level, "generic", "PersistsUpToWindow", str(exc))
-                )
+                verdict, note, betas = "PersistsUpToWindow", str(exc), ()
+            verdicts.append(SupportVerdict(level, "generic", verdict, note, betas))
             fiber_factors.update(_degenerate_fiber_factors(Pl))
         for fac in sorted(fiber_factors):
             verdicts.append(
@@ -496,12 +460,14 @@ def micro_support_test(
             )
         out["levels"][level] = verdicts
     if char is not None and char.complete:
-        lvl = min(out["levels"])
-        vs = out["levels"][lvl]
-        generic_ok = all(
-            v.verdict == "Vanishes" for v in vs if v.chart_class == "generic"
-        )
-        if generic_ok:
+        lvl = M.m
+        vs = out["levels"].get(lvl)
+        if vs is None:
+            out["crosscheck"] = {
+                "level": lvl, "agree": None,
+                "note": f"not crosschecked: no support verdicts at level {lvl}, the level of Char",
+            }
+        elif all(v.verdict == "Vanishes" for v in vs if v.chart_class == "generic"):
             supp_fibers = sorted(
                 v.chart_class[len("fiber["):-1]
                 for v in vs

@@ -360,8 +360,9 @@ def _json_value(v):
 
 
 def _emit(args, payload, exit_code):
-    payload = dict(payload)
-    payload["schema"] = SCHEMA
+    """Print a command's report, which always names the command, p and the
+    schema, and return its exit code."""
+    payload = {"command": args.command, "p": args.p, "schema": SCHEMA, **payload}
     if args.json:
         import json
 
@@ -390,8 +391,7 @@ def _human_lines(payload, prefix=""):
 
 def cmd_mul(args, session):
     v = parse(args.expr, session)
-    payload = {"command": "mul", "p": session.p, "result": _json_value(v),
-               "text": _render(v)}
+    payload = {"result": _json_value(v), "text": _render(v)}
     return _emit(args, payload, EXIT_OK)
 
 
@@ -401,8 +401,6 @@ def cmd_symbol(args, session):
         raise ExprSyntaxError("symbol needs a differential operator")
     os_ = order_and_symbol(v)
     payload = {
-        "command": "symbol",
-        "p": session.p,
         "order": os_.order,
         "symbol": str(os_.symbol),
         "secondary": (
@@ -419,8 +417,7 @@ def cmd_levelmap(args, session):
     if not isinstance(v, DiffOp):
         raise ExprSyntaxError("levelmap needs a differential operator")
     w = level_map_phi(v, args.mprime)
-    payload = {"command": "levelmap", "p": session.p, "mprime": args.mprime,
-               "result": _json_value(w), "text": _render(w)}
+    payload = {"mprime": args.mprime, "result": _json_value(w), "text": _render(w)}
     return _emit(args, payload, EXIT_OK)
 
 
@@ -431,8 +428,7 @@ def cmd_psi(args, session):
     from .microloc import psi_level_lower
 
     w = psi_level_lower(v, args.m)
-    payload = {"command": "psi", "p": session.p, "m": args.m,
-               "result": _json_value(w), "text": str(w)}
+    payload = {"m": args.m, "result": _json_value(w), "text": str(w)}
     return _emit(args, payload, EXIT_OK)
 
 
@@ -445,8 +441,6 @@ def cmd_invert(args, session):
 
     rep = try_invert(v, theta, args.mprime, floor=session.window_floor, laurent=args.laurent)
     payload = {
-        "command": "invert",
-        "p": session.p,
         "ok": rep.ok,
         "note": rep.note,
         "betas": [list(pair) for pair in rep.profile.pairs()],
@@ -469,8 +463,6 @@ def cmd_member(args, session):
         v = change_presentation_level(v, args.mprime)
     verdict = membership_intermediate(v, args.m)
     payload = {
-        "command": "member",
-        "p": session.p,
         "m": args.m,
         "mprime": args.mprime,
         "status": verdict.status,
@@ -495,16 +487,13 @@ def _bounds_from_args(args):
 
 
 def cmd_char(args, session):
-    session.level = args.level
     M = _module_from_args(args, session)
     cv = char_variety(M, _bounds_from_args(args))
-    payload = {"command": "char", "p": session.p, "level": args.level}
-    payload.update(cv.to_json())
+    payload = {"level": args.level, **cv.to_json()}
     return _emit(args, payload, EXIT_OK if cv.complete else EXIT_PARTIAL)
 
 
 def cmd_supp(args, session):
-    session.level = args.level
     M = _module_from_args(args, session)
     cv = char_variety(M, _bounds_from_args(args))
     levels = args.at_levels or [args.level]
@@ -520,8 +509,6 @@ def cmd_supp(args, session):
         v.verdict == "PersistsUpToWindow" for vs in rep["levels"].values() for v in vs
     )
     payload = {
-        "command": "supp",
-        "p": session.p,
         "verdicts": verdicts,
         "crosscheck": rep["crosscheck"],
         "char_class": cv.char_class,
@@ -530,12 +517,9 @@ def cmd_supp(args, session):
 
 
 def cmd_stability(args, session):
-    session.level = args.level
     M = _module_from_args(args, session)
     rep = stability_probe(M, args.mprime_max, _bounds_from_args(args))
     payload = {
-        "command": "stability",
-        "p": session.p,
         "stable_from": rep["stable_from"],
         "flags": rep["flags"],
         "rows": [
@@ -555,8 +539,6 @@ def cmd_stability(args, session):
 def cmd_verify_counterexample(args, session):
     rep = verify_counterexample(session.p, n_max=args.nmax)
     payload = {
-        "command": "verify-counterexample",
-        "p": session.p,
         "n_max": args.nmax,
         "all_ok": rep["all_ok"],
         "checks": rep["checks"],
@@ -566,9 +548,7 @@ def cmd_verify_counterexample(args, session):
 
 def cmd_normcalc_bounds(args, session):
     rep = normcalc_bounds(args.d, session.p, args.m, args.mprime, args.k)
-    payload = {"command": "normcalc-bounds", "p": session.p}
-    payload.update(rep)
-    return _emit(args, payload, EXIT_OK)
+    return _emit(args, rep, EXIT_OK)
 
 
 # -- argument plumbing --------------------------------------------------------------

@@ -74,20 +74,15 @@ class MicroOp:
         self.floor = floor
         self.laurent = laurent
         n = theta.degree()
-        clean = {}
+        self.terms = {}
         for (k, i), c in (terms or {}).items():
             k = tuple(int(e) for e in k)
             if i < 0:
                 raise ValueError("negative localizer powers only (i >= 0)")
             if isinstance(c, (int, Fraction)):
                 c = Poly.const(c, self.d)
-            if c.is_zero():
-                continue
-            if term_order(k, i, n, self.p, mprime) < floor:
-                continue
-            key = (k, i)
-            clean[key] = clean.get(key, Poly.zero(self.d)) + c
-        self.terms = {key: c for key, c in clean.items() if not c.is_zero()}
+            if not c.is_zero() and term_order(k, i, n, self.p, mprime) >= floor:
+                self.terms[(k, i)] = c
 
     # -- basics -----------------------------------------------------------
 
@@ -172,9 +167,15 @@ class MicroOp:
         if self._meta() != other._meta():
             raise IncompatibleLocalizer(f"{self._meta()} vs {other._meta()}")
 
+    def _scalar(self, c):
+        """A number c as an operator with this one's localizer, exact at
+        every order; any other value is returned as it is."""
+        if isinstance(c, (int, Fraction)):
+            return self.with_terms({((0,) * self.d, 0): c}, floor=-INF)
+        return c
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.with_terms({((0,) * self.d, 0): other}, floor=-INF)
+        other = self._scalar(other)
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
@@ -185,8 +186,6 @@ class MicroOp:
         return self.with_terms({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.with_terms({((0,) * self.d, 0): other}, floor=-INF)
         return self + (-other)
 
     def scale(self, c):
@@ -200,10 +199,8 @@ class MicroOp:
         """dict i -> DiffOp of the (left-form) numerators."""
         out = {}
         for (k, i), c in self.terms.items():
-            cur = out.get(i)
-            add = DiffOp(self.p, self.level, self.d, {k: c})
-            out[i] = add if cur is None else cur + add
-        return {i: op for i, op in out.items() if not op.is_zero()}
+            out.setdefault(i, {})[k] = c
+        return {i: DiffOp(self.p, self.level, self.d, terms) for i, terms in out.items()}
 
     def canonical(self) -> "MicroOp":
         """Divide each bucket's top symbol by the localizer symbol as far as
@@ -248,8 +245,7 @@ class MicroOp:
         return convert_presentation(self, "left").canonical()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.with_terms({((0,) * self.d, 0): other}, floor=-INF)
+        other = self._scalar(other)
         if not isinstance(other, MicroOp):
             return False
         a, b = self._left_canonical(), other._left_canonical()
@@ -361,7 +357,7 @@ def _push_once(T: DiffOp, cur: dict, remaining: int, floor, korder: int, signed:
         c = D
         s = 0
         while not c.is_zero():
-            if floor != -INF and c.order() - (t + s + 1 + remaining) * korder < floor:
+            if c.order() - (t + s + 1 + remaining) * korder < floor:
                 break
             if floor == -INF and s > 4 * (abs(D.order()) + D.max_xdeg() + 8):
                 raise ValueError(
@@ -588,11 +584,12 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
         raise SymbolMismatch(f"top coefficient {c0} is not a unit on the chart")
     if P.d != 1:
         raise SymbolMismatch("inversion is implemented for d = 1")
+    P = P.truncate(floor)
     # first approximation: monomial S0 of order -w with P*S0 = 1 + (order < 0)
     t = max(0, -(-w // korder))  # ceil(w / korder), at least 0
     ks = t * korder - w
     S0 = P.with_terms({((ks,), t): 1}, floor=floor)
-    R = micro_multiply(P.truncate(floor), S0)
+    R = micro_multiply(P, S0)
     gamma = R.order_part(0)
     if list(gamma.keys()) != [((0,) * P.d, 0)]:
         raise SymbolMismatch("leading product term is not scalar")
@@ -602,7 +599,7 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
         raise SymbolMismatch(f"leading coefficient {g} is not invertible on the chart")
     S0 = S0.scale(ginv)
     one = MicroOp.one(theta, P.level, mprime, floor=floor, laurent=laurent)
-    e = micro_multiply(P.truncate(floor), S0) - one
+    e = micro_multiply(P, S0) - one
     # geometric series (1+e)^(-1) = sum (-e)^t down to the floor
     acc = one
     termop = one
@@ -613,8 +610,8 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
         acc = acc + termop
     S = micro_multiply(S0, acc)
     # certificates: no residual term above the residual's own (drifted) floor
-    left_res = micro_multiply(P.truncate(floor), S) - one
-    right_res = micro_multiply(S, P.truncate(floor)) - one
+    left_res = micro_multiply(P, S) - one
+    right_res = micro_multiply(S, P) - one
     lok = left_res.truncate(left_res.floor + 1).canonical().is_zero()
     rok = right_res.truncate(right_res.floor + 1).canonical().is_zero()
     profile = validate_convergence(S)

@@ -15,6 +15,21 @@ from .padic import valuation
 INF = math.inf
 
 
+def power(base, n: int, one):
+    """base**n by square-and-multiply, starting from the unit ``one``; the
+    base is squared only while exponent bits remain."""
+    if n < 0:
+        raise ValueError("negative power")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 class Poly:
     """Immutable sparse polynomial: dict from exponent tuples to Fraction."""
 
@@ -119,17 +134,7 @@ class Poly:
         return Poly(self.nvars, {e: c * v for e, v in self.coeffs.items()})
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly.const(1, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, Poly.const(1, self.nvars))
 
     def derivative(self, j: int = 0) -> "Poly":
         out = {}

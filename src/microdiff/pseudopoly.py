@@ -27,10 +27,9 @@ from .padic import (
     binomial_structure_constant_exact,
     divided_lift,
     level_shift_constant,
-    q_part,
     valuation,
 )
-from .polynomials import Poly
+from .polynomials import Poly, power
 
 INF = math.inf
 
@@ -183,17 +182,7 @@ class TermAlgebra:
         return type(self)(self.p, self.m, self.d, {k: c * v for k, v in self.terms.items()})
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out = type(self).one(self.p, self.m, self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, type(self).one(self.p, self.m, self.d))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -362,17 +351,3 @@ def theta_variants(theta: SymbolPoly, m: int, mprime: int):
         lo = lo + lo_mono.scale(twisted)
     return hi, lo
 
-
-__all__ = [
-    "TermAlgebra",
-    "SymbolPoly",
-    "normalize",
-    "rational_level_change",
-    "check_theta",
-    "theta_variants",
-    "digit_form",
-    "digit_decomposition",
-    "digit_monomial_constant",
-    "digits_to_k",
-    "q_part",
-]

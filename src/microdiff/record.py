@@ -3,9 +3,9 @@
 A subclass names its fields in ``_fields`` and their defaults in
 ``_defaults``; a callable default (``list``) is called for a fresh value
 per record.  Records take their fields positionally or by keyword, compare
-equal when the class and every field are equal, and print as
-``Name(field=value, ...)``.  A ``FrozenRecord`` also refuses assignment and
-hashes by value.
+equal when the class and every field are equal, print as
+``Name(field=value, ...)`` and serialise as a ``{field: value}`` dict.  A
+``FrozenRecord`` also refuses assignment and hashes by value.
 """
 
 
@@ -43,6 +43,14 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def to_json(self):
+        """The fields as a dict in field order; a field that is itself a
+        record is written through its own ``to_json``."""
+        return {
+            name: value.to_json() if isinstance(value, Record) else value
+            for name, value in zip(self._fields, self._values())
+        }
 
 
 class FrozenRecord(Record):

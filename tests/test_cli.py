@@ -217,6 +217,23 @@ class TestCommands:
         data = json.loads(out)
         assert data["crosscheck"]["agree"] is True
 
+    def test_supp_crosschecks_only_the_module_level(self, capsys):
+        # Char is computed at the module's level 0; the level-1 Char of d - x
+        # has the fiber x + 1, so a level-1 support is not compared with it
+        argv = ["supp", "--p", "2", "--rel", "d1 - x1", "--window-floor", "-6", "--json"]
+        code, out, _ = run(capsys, *argv, "--at-levels", "1")
+        assert code == EXIT_OK
+        cross = json.loads(out)["crosscheck"]
+        assert cross["level"] == 0 and cross["agree"] is None
+        assert "not crosschecked" in cross["note"]
+        code, out, _ = run(capsys, *argv, "--at-levels", "0", "1")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["crosscheck"] == {
+            "level": 0, "agree": True, "support_fibers": [], "char_fibers": [],
+        }
+        assert sorted(data["verdicts"]) == ["0", "1"]
+
     def test_char_incomplete_exit_2(self, capsys):
         code, out, _ = run(
             capsys, "char", "--p", "2", "--rel", "d1^2 - x1", "--max-order", "1", "--json"

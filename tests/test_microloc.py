@@ -175,6 +175,28 @@ class TestMultiply:
             R = rand_micro(rng, XI2, 0, 1, nterms=2, maxi=1)
             assert micro_multiply(micro_multiply(P, Q), R) == micro_multiply(P, micro_multiply(Q, R))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="micro_multiply prunes each push at floor + i2*korder and "
+        "ignores the order |k1| that the left factor's term adds",
+    )
+    def test_product_keeps_every_order_in_the_window(self):
+        # `mul --p 2 --level 1 --window-floor -6 --expr "(x1^3*D1[1,3] +
+        # 2*x1^3*D1[1,3]*Tinv2(xi1,1,1)) * (-2*D1[1,1]*Tinv(xi1,1,1))"`.
+        # T = D^<1><2> = d^2/2 commutes with d, and D^<1><3> D^<1><1> = d^4/6
+        # = 2/3 T^2, so the product is -4/3 x^3 T - 8/3 x^3 T^-1 exactly; the
+        # second term has order -2, inside the product's window [-2, ...)
+        x3 = Poly.var(power=3)
+        P = MicroOp(XI2, 1, 1, {((3,), 0): x3, ((1,), 1): x3.scale(Fraction(2, 3))}, floor=-3)
+        Q = MicroOp(XI2, 1, 1, {((1,), 1): -2}, floor=-5)
+        want = {((2,), 0): x3.scale(Fraction(-4, 3)), ((0,), 1): x3.scale(Fraction(-8, 3))}
+        unpruned = micro_multiply(P.with_terms(P.terms, floor=-math.inf),
+                                  Q.with_terms(Q.terms, floor=-math.inf))
+        assert unpruned.terms == want
+        prod = micro_multiply(P, Q)
+        assert prod.floor == -2
+        assert prod.terms == want
+
     def test_window_refinement(self):
         # deeper window then truncate == shallow window directly
         P = MicroOp.from_diffop(DiffOp.dx(2, 0) - DiffOp.x(2, 0), XI2, 0)

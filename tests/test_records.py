@@ -1,8 +1,16 @@
-"""The plain value records: equality, hashing, frozenness, defaults and repr."""
+"""The plain value records: equality, hashing, frozenness, defaults, repr and
+JSON."""
 
 import pytest
 
-from microdiff.charvar import Bounds, CharVariety, OrderStandardBasis, SupportVerdict
+from microdiff.charvar import (
+    Bounds,
+    CharVariety,
+    CyclicModule,
+    OrderStandardBasis,
+    SupportVerdict,
+    char_variety,
+)
 from microdiff.diffop import DiffOp, OrderSymbol, ThetaTilde, build_theta_tilde
 from microdiff.microloc import ConvergenceProfile, InversionReport, MembershipVerdict
 from microdiff.pseudopoly import SymbolPoly
@@ -91,3 +99,41 @@ def test_repr_names_every_field():
     assert repr(MembershipVerdict("InEmm'", "w")) == (
         "MembershipVerdict(status=\"InEmm'\", witness='w')"
     )
+
+
+def test_to_json_writes_the_fields_in_order():
+    assert Bounds().to_json() == {
+        "max_order": 16, "max_xdeg": 24, "precision": 20, "max_steps": 400,
+    }
+    assert list(Bounds().to_json()) == list(Bounds._fields)
+
+
+def test_to_json_writes_a_record_field_through_its_own_to_json():
+    # Char^(1) of D/(d - x) at p = 2, as `char --p 2 --level 1` reports it
+    M = CyclicModule(2, 0, [DiffOp.dx(2, 0) - DiffOp.x(2, 0)]).level_raised(1)
+    cv = char_variety(M, Bounds(max_order=3))
+    assert cv.to_json() == {
+        "char_class": "fiber-set",
+        "zero_section": False,
+        "fibers": ["x + 1"],
+        "points": [],
+        "generators": ["x**2 + 1"],
+        "complete": True,
+        "bounds": {"max_order": 3, "max_xdeg": 24, "precision": 20, "max_steps": 400},
+    }
+
+
+def test_to_json_nests_records_two_deep():
+    inner = OrderStandardBasis([], Bounds(max_steps=9), True, 0, [])
+    outer = InversionReport(True, inner, ConvergenceProfile({0: 0}, True), True, False)
+    assert outer.to_json() == {
+        "ok": True,
+        "inverse": {
+            "basis": [], "complete": True, "pairs_checked": 0, "leading": [], "notes": [],
+            "bounds": {"max_order": 16, "max_xdeg": 24, "precision": 20, "max_steps": 9},
+        },
+        "profile": {"betas": {0: 0}, "bounded": True, "note": ""},
+        "left_residual_below_floor": True,
+        "right_residual_below_floor": False,
+        "note": "",
+    }

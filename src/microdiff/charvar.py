@@ -14,14 +14,7 @@ cross-checked against the variety where both sides carry clean certificates.
 
 from fractions import Fraction
 
-from .errors import (
-    BoundsExhausted,
-    InvalidParameter,
-    LevelMismatch,
-    NotInvertibleAtSymbol,
-    SymbolMismatch,
-    ZeroOperator,
-)
+from .errors import BoundsExhausted, InvalidParameter, LevelMismatch, SymbolMismatch
 from .padic import binomial_structure_constant_exact, check_prime_and_level
 from .polynomials import Poly
 from .pseudopoly import digit_decomposition, SymbolPoly
@@ -101,14 +94,11 @@ class CharVariety(Record):
 def _mod_p_leading(P: DiffOp):
     """(order n, top coefficient mod p) of the mod-p reduction of an
     integral, p-content-0 operator; None if P is zero."""
-    best = None
-    for k, c in P.terms.items():
-        cbar = c.mod_p(P.p)
-        if cbar.is_zero():
-            continue
-        if best is None or k[0] > best[0]:
-            best = (k[0], cbar)
-    return best
+    red = P.mod_p()
+    if red.is_zero():
+        return None
+    n = red.order()
+    return n, red.terms[(n,)]
 
 
 def _digits_compatible(a: int, b: int, p: int) -> bool:
@@ -272,7 +262,7 @@ def order_standard_basis(M: CyclicModule, bounds: Bounds = Bounds()) -> OrderSta
                 g, (ng, fg) = basis[idx]
                 h, (nh, fh) = basis[jdx]
                 # lcm of leading monomials in the graded ring: digit-wise max
-                # of the orders, max of the x-degrees
+                # of the orders (n - ng + ng never carries), max of x-degrees
                 n = 0
                 q = 1
                 a, b = ng, nh
@@ -281,11 +271,6 @@ def order_standard_basis(M: CyclicModule, bounds: Bounds = Bounds()) -> OrderSta
                     a //= p
                     b //= p
                     q *= p
-                if not (
-                    _digits_compatible(n - ng, ng, p)
-                    and _digits_compatible(n - nh, nh, p)
-                ):
-                    continue
                 D = max(fg.degree(), fh.degree())
                 Sg, ug = _shifted(g, ng, fg, n, D)
                 Sh, uh = _shifted(h, nh, fh, n, D)
@@ -327,16 +312,16 @@ def order_standard_basis(M: CyclicModule, bounds: Bounds = Bounds()) -> OrderSta
 def _reduced_chart_generators(sb: OrderStandardBasis, p: int, m: int):
     """Reduced images of the leading symbols on the (x, Xi)-chart.
 
-    A leading symbol f(x).xi^<m,n> survives iff n is a multiple of p^m with
-    zero low digits (the other basis vectors are nilpotent mod p); it lands
-    on f(x).Xi^(n/p^m) up to a unit.
+    A leading symbol f(x).xi^<m,n> survives iff n is a multiple of p^m, that
+    is iff its m low base-p digits are zero (the other basis vectors are
+    nilpotent mod p); it lands on f(x).Xi^(n/p^m) up to a unit.
     """
     from .fpx import Fpx  # F_p[x] loads only where a variety is classified
 
     gens = []  # (a, Fpx)
     q = p**m
     for n, f in sb.leading:
-        if n % q or any(digit_decomposition(n, p, m)[:-1]):
+        if n % q:
             continue  # nilpotent factor: cuts nothing
         fp = Fpx.from_poly(f, p)
         if not fp.is_zero():
@@ -445,7 +430,7 @@ def micro_support_test(
                     verdict, note = "Vanishes", "two-sided inverse with residual certificate"
                 else:
                     verdict, note = "PersistsUpToWindow", rep.note
-            except (SymbolMismatch, NotInvertibleAtSymbol, ZeroOperator) as exc:
+            except SymbolMismatch as exc:
                 verdict, note, betas = "PersistsUpToWindow", str(exc), ()
             verdicts.append(SupportVerdict(level, "generic", verdict, note, betas))
             fiber_factors.update(_degenerate_fiber_factors(Pl))
@@ -487,6 +472,10 @@ def micro_support_test(
 
 # -- the counterexample suite -------------------------------------------------------
 
+# No n_max above this: n_max = 100 takes about 1.2 s of CPU on one Xeon core,
+# and each doubling costs 3 to 4 times more.
+MAX_NMAX = 100
+
 
 def verify_counterexample(p: int, n_max: int = 30) -> dict:
     """Exact verification of the non-stability mechanism.
@@ -498,10 +487,12 @@ def verify_counterexample(p: int, n_max: int = 30) -> dict:
         0, 1, p, 1/p, and x^e, x^e/p^e for e = 1..3;
     (c) D^n.e = (x^n + lower).e modulo the left ideal (D - x).
 
-    n_max must be at least 3: check (c) compares D^3.e with (x^3 + 3x).e.
+    3 <= n_max <= MAX_NMAX: check (c) compares D^3.e with (x^3 + 3x).e.
     """
     if n_max < 3:
         raise InvalidParameter(f"need n_max >= 3 for the partial-cubed check, got {n_max}")
+    if n_max > MAX_NMAX:
+        raise InvalidParameter(f"n_max {n_max} exceeds the cap of {MAX_NMAX}")
     x = Poly.var()
     checks = []
 

@@ -15,7 +15,7 @@ from .errors import ExprSyntaxError, InvalidParameter, MicrodiffError
 from .padic import check_prime_and_level, normcalc_bounds
 from .polynomials import Poly
 from .pseudopoly import SymbolPoly
-from .diffop import DiffOp, level_map_phi, order_and_symbol, render_diffop
+from .diffop import DiffOp, level_map_phi, order_and_symbol
 # microloc is imported where a value needs it: a Tinv atom, the psi, invert
 # and member commands; a command without one never loads it
 from .charvar import (
@@ -344,15 +344,11 @@ def parse_symbol(text, session):
 # -- rendering ---------------------------------------------------------------------
 
 
-def _render(v):
-    return render_diffop(v) if isinstance(v, DiffOp) else str(v)
-
-
 def _json_value(v):
     if _rank(v) == _MICRO:
         return v.to_json()
     if isinstance(v, DiffOp):
-        return {"kind": "diffop", "level": v.m, "text": render_diffop(v)}
+        return {"kind": "diffop", "level": v.m, "text": str(v)}
     return {"kind": "scalar", "text": str(v)}
 
 
@@ -391,7 +387,7 @@ def _human_lines(payload, prefix=""):
 
 def cmd_mul(args, session):
     v = parse(args.expr, session)
-    payload = {"result": _json_value(v), "text": _render(v)}
+    payload = {"result": _json_value(v), "text": str(v)}
     return _emit(args, payload, EXIT_OK)
 
 
@@ -417,7 +413,7 @@ def cmd_levelmap(args, session):
     if not isinstance(v, DiffOp):
         raise ExprSyntaxError("levelmap needs a differential operator")
     w = level_map_phi(v, args.mprime)
-    payload = {"mprime": args.mprime, "result": _json_value(w), "text": _render(w)}
+    payload = {"mprime": args.mprime, "result": _json_value(w), "text": str(w)}
     return _emit(args, payload, EXIT_OK)
 
 

@@ -246,3 +246,6 @@ def render_diffop(P: DiffOp) -> str:
     if P.d == 1:
         return P.render(gen, lambda c: str(c).replace("x", "x1"))
     return P.render(gen)
+
+
+DiffOp.__str__ = DiffOp.__repr__ = render_diffop

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .diffop import DiffOp, ThetaTilde, build_theta_tilde, render_diffop
+from .diffop import DiffOp, ThetaTilde, build_theta_tilde
 from .errors import (
     IncompatibleLocalizer,
     LevelMismatch,
@@ -29,11 +29,10 @@ from .padic import (  # alpha_bound and normcalc_bounds are exported here too
     alpha_bound,
     binomial_structure_constant_exact,
     level_factorial_ratio_exact,
-    level_shift_constant,
     normcalc_bounds,
 )
 from .polynomials import Poly
-from .pseudopoly import SymbolPoly, check_theta
+from .pseudopoly import SymbolPoly, check_theta, rational_level_change
 from .record import FrozenRecord
 
 INF = math.inf
@@ -137,12 +136,6 @@ class MicroOp:
             return -INF
         return max(term_order(k, i, self.n, self.p, self.mprime) for k, i in self.terms)
 
-    def orders(self):
-        return sorted(
-            {term_order(k, i, self.n, self.p, self.mprime) for k, i in self.terms},
-            reverse=True,
-        )
-
     def order_part(self, N0):
         return {
             (k, i): c
@@ -231,13 +224,9 @@ class MicroOp:
                 buckets.pop(i, None)
             else:
                 buckets[i] = B
-        terms = {}
-        for i, op in buckets.items():
-            if op.is_zero():
-                continue
-            for k, c in op.terms.items():
-                terms[(k, i)] = c
-        return self.with_terms(terms)
+        return self.with_terms(
+            {(k, i): c for i, op in buckets.items() for k, c in op.terms.items()}
+        )
 
     def _left_canonical(self) -> "MicroOp":
         """Canonical form of the left image: one per element, whichever
@@ -269,7 +258,7 @@ class MicroOp:
             key=lambda ki: (-term_order(ki[0], ki[1], self.n, self.p, self.mprime), ki[1], ki[0]),
         ):
             c = self.terms[(k, i)]
-            base = render_diffop(DiffOp(self.p, self.level, self.d, {k: c}))
+            base = str(DiffOp(self.p, self.level, self.d, {k: c}))
             if i:
                 part = f"({base})*T^-{i}" if self.side == "left" else f"T^-{i}*({base})"
             else:
@@ -344,47 +333,40 @@ def _divide_symbol_top(B: DiffOp, kT, cT: Poly, p, m, d, laurent):
 # -- commutation engine -------------------------------------------------------
 
 
-def _push_once(T: DiffOp, cur: dict, remaining: int, floor, korder: int, signed: bool, memo: dict):
-    """One application of T^(-1) to a presentation dict t -> D_t.
-
-    signed=True expands T^(-1) D = sum_s (-1)^s ad_T^s(D) T^(-s-1) (left pass);
-    signed=False expands D T^(-1) = sum_s T^(-s-1) ad_T^s(D) (right pass).
-    memo maps D -> ad_T(D) = [T, D].  Terms whose order cannot reach the
-    floor after the remaining applications are pruned.
-    """
-    nxt = {}
-    for t, D in cur.items():
-        c = D
-        s = 0
-        while not c.is_zero():
-            if c.order() - (t + s + 1 + remaining) * korder < floor:
-                break
-            if floor == -INF and s > 4 * (abs(D.order()) + D.max_xdeg() + 8):
-                raise ValueError(
-                    "commutation series does not terminate; a finite window floor is required"
-                )
-            piece = c if (s % 2 == 0 or not signed) else -c
-            key = t + s + 1
-            nxt[key] = nxt.get(key, DiffOp.zero(D.p, D.m, D.d)) + piece
-            ad = memo.get(c)
-            if ad is None:
-                ad = memo[c] = T.commutator(c)
-            c = ad
-            s += 1
-    return {t: D for t, D in nxt.items() if not D.is_zero()}
-
-
 def _push(T: DiffOp, i: int, Q: DiffOp, floor, korder: int, signed: bool, memo: dict):
     """Move T^(-i) past Q, one pass per power of T, modulo order < floor.
 
-    signed=True: T^(-i) * Q = sum_t D_t T^(-t); signed=False:
-    Q * T^(-i) = sum_t T^(-t) D_t.  korder is the order of T.
+    signed=True expands T^(-1) D = sum_s (-1)^s ad_T^s(D) T^(-s-1), giving
+    T^(-i) * Q = sum_t D_t T^(-t); signed=False expands D T^(-1) =
+    sum_s T^(-s-1) ad_T^s(D), giving Q * T^(-i) = sum_t T^(-t) D_t.  korder
+    is the order of T; memo maps D -> ad_T(D) = [T, D].  Terms that cannot
+    reach the floor after the remaining passes are pruned.  At an exact
+    floor (-inf), SearchBoundExceeded when ad_T is not nilpotent on a term.
     """
     if Q.is_zero():
         return {}
     cur = {0: Q}
-    for j in range(i, 0, -1):
-        cur = _push_once(T, cur, j - 1, floor, korder, signed, memo)
+    for remaining in range(i - 1, -1, -1):
+        nxt = {}
+        for t, D in cur.items():
+            c = D
+            s = 0
+            while not c.is_zero():
+                if c.order() - (t + s + 1 + remaining) * korder < floor:
+                    break
+                if floor == -INF and s > 4 * (abs(D.order()) + D.max_xdeg() + 8):
+                    raise SearchBoundExceeded(
+                        "commutation series does not terminate; a finite window floor is required"
+                    )
+                piece = c if (s % 2 == 0 or not signed) else -c
+                key = t + s + 1
+                nxt[key] = nxt.get(key, DiffOp.zero(D.p, D.m, D.d)) + piece
+                ad = memo.get(c)
+                if ad is None:
+                    ad = memo[c] = T.commutator(c)
+                c = ad
+                s += 1
+        cur = {t: D for t, D in nxt.items() if not D.is_zero()}
     return cur
 
 
@@ -394,10 +376,7 @@ def ore_witness(T: DiffOp, a: DiffOp):
     From T^(-1) a = sum_t D_t T^(-t): r = sum_t D_t T^(N-t).  Raises
     SearchBoundExceeded when ad_T is not nilpotent on a.
     """
-    try:
-        pushed = _push(T, 1, a, -INF, T.order(), True, {})
-    except ValueError:
-        raise SearchBoundExceeded("ad_T is not nilpotent on a: no T^N is an Ore witness") from None
+    pushed = _push(T, 1, a, -INF, T.order(), True, {})
     N = max(pushed, default=0)
     r = DiffOp.zero(a.p, a.m, a.d)
     for t, D in pushed.items():
@@ -437,19 +416,14 @@ def micro_multiply(P: MicroOp, Q: MicroOp) -> MicroOp:
     korder = P.localizer_order
     if P.is_zero() or Q.is_zero():
         return P.with_terms({}, floor=max(P.floor, Q.floor))
-    floor = max(
-        (P.floor + Q.order()) if P.floor != -INF else -INF,
-        (Q.floor + P.order()) if Q.floor != -INF else -INF,
-    )
+    floor = max(P.floor + Q.order(), Q.floor + P.order())
     out = {}
     memo = {}
     for (k1, i1), b1 in P.terms.items():
         left = DiffOp(P.p, P.level, P.d, {k1: b1})
         for (k2, i2), b2 in Q.terms.items():
             right = DiffOp(P.p, P.level, P.d, {k2: b2})
-            sub_floor = floor
-            if sub_floor != -INF:
-                sub_floor = floor + i2 * korder  # the T^(-i2) tail shifts orders down
+            sub_floor = floor + i2 * korder  # the T^(-i2) tail shifts orders down
             pushed = _push(T, i1, right, sub_floor, korder, True, memo)
             for t, D in pushed.items():
                 prod = left * D
@@ -510,17 +484,14 @@ def validate_convergence(P: MicroOp) -> ConvergenceProfile:
     if P.is_zero():
         return ConvergenceProfile({}, True, "zero operator: empty profile")
     betas = {}
-    for N0 in P.orders():
-        v = min(c.p_valuation(P.p) for c in P.order_part(N0).values())
-        betas[N0] = -v
+    for (k, i), c in P.terms.items():
+        N0 = term_order(k, i, P.n, P.p, P.mprime)
+        betas[N0] = max(betas.get(N0, -INF), -c.p_valuation(P.p))
     orders = sorted(betas, reverse=True)
     # growth detection: a non-decreasing beta staircase with total growth >= 2
     # is evidence of unboundedness in the window.  Orders within one localizer
     # order of the floor are trimmed (truncation boundary artifacts).
-    trimmed = orders
-    if P.floor != -INF:
-        trimmed = [N0 for N0 in orders if N0 >= P.floor + P.localizer_order]
-    vals = [betas[N0] for N0 in trimmed]
+    vals = [betas[N0] for N0 in orders if N0 >= P.floor + P.localizer_order]
     growing = (
         len(vals) >= 3
         and all(a <= b for a, b in zip(vals, vals[1:]))
@@ -639,12 +610,8 @@ def change_presentation_level(P: MicroOp, new_level: int) -> MicroOp:
     gamma_old = level_factorial_ratio_exact(P.p, P.level, P.mprime) ** n
     gamma_new = level_factorial_ratio_exact(P.p, new_level, P.mprime) ** n
     ratio = gamma_new / gamma_old  # (T_old)^(-i) = ratio^i (T_new)^(-i)
-    out = {}
-    for (k, i), b in P.terms.items():
-        const = ratio**i
-        for kj in k:
-            const *= level_shift_constant(kj, P.p, P.level, new_level)
-        out[(k, i)] = b.scale(const)
+    shifted = {i: rational_level_change(B, new_level) for i, B in P.buckets().items()}
+    out = {(k, i): shifted[i].terms[k].scale(ratio**i) for k, i in P.terms}
     return MicroOp(P.theta, new_level, P.mprime, out, P.side, P.floor, P.laurent)
 
 

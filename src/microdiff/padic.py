@@ -132,12 +132,14 @@ def normcalc_bounds(d: int, p: int, m: int, mprime: int, k: int) -> dict:
     level-m' presentation; b_k the converse direction.  a_k = 0 once
     d*p^(m'+1) < k, and b_k = 0 for k < p^(m+1).  Orders k < 0 need no
     bound (``microloc.membership_intermediate`` treats them as automatic) and are
-    rejected.
+    rejected, as is a dimension d < 1.
     """
     if not 0 <= m <= mprime:
         raise LevelMismatch(f"need 0 <= m <= m', got m = {m} and m' = {mprime}")
     if k < 0:
         raise InvalidParameter(f"need an order k >= 0, got {k}")
+    if d < 1:
+        raise InvalidParameter(f"need a dimension d >= 1, got {d}")
     alphas = {s: alpha_bound(k, s, p, d) for s in range(m, mprime)}
     if d * p ** (mprime + 1) < k:
         a_k = 0

@@ -158,6 +158,10 @@ class TermAlgebra:
     # -- additive structure ------------------------------------------------
 
     def _check(self, other):
+        if type(other) is not type(self):
+            raise LevelMismatch(
+                f"cannot combine a {type(self).__name__} with a {type(other).__name__}"
+            )
         if (self.p, self.m, self.d) != (other.p, other.m, other.d):
             raise LevelMismatch(
                 f"(p,m,d)={(self.p, self.m, self.d)} vs {(other.p, other.m, other.d)}"

@@ -329,6 +329,9 @@ class TestBoundary:
         ("mul", "--p", "2", "--expr", "(d1+x1)^200"),
         ("member", "--p", "2", "--P", "3", "--m", "0", "--mprime", "1"),
         ("member", "--p", "2", "--P", "xi1", "--m", "0", "--mprime", "1"),
+        ("verify-counterexample", "--p", "2", "--nmax", "100000000"),
+        ("normcalc-bounds", "--p", "2", "--m", "0", "--mprime", "1", "--k", "4", "--d", "0"),
+        ("normcalc-bounds", "--p", "2", "--m", "0", "--mprime", "1", "--k", "4", "--d", "-1"),
     ]
 
     @pytest.mark.parametrize(
@@ -339,7 +342,8 @@ class TestBoundary:
              "invert-scalar", "invert-symbol", "nmax-below-3", "normcalc-k-negative",
              "stability-mprime-below-level", "microop-power", "zero-negative-power",
              "nested-parentheses", "nested-minus", "nested-tinv", "exponent-above-cap",
-             "member-scalar", "member-symbol"],
+             "member-scalar", "member-symbol", "nmax-above-cap", "normcalc-d-0",
+             "normcalc-d-negative"],
     )
     def test_one_error_line_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -436,6 +436,22 @@ class TestOreWitness:
         with pytest.raises(SearchBoundExceeded):
             ore_witness(s, DiffOp.x(2, 0))
 
+    def test_exact_floor_product_raises(self):
+        # theta = x*xi makes T = x d, and ad_T(x) = x: pushing T^-1 past x
+        # never ends, so an exact (-inf) floor has no finite answer
+        th = SymbolPoly(2, 0, 1, {(1,): Poly.var()})
+        Tinv = MicroOp(th, 0, 0, {((0,), 1): 1}, laurent=True)
+        x = MicroOp.from_diffop(DiffOp.x(2, 0), th, 0, laurent=True)
+        with pytest.raises(SearchBoundExceeded):
+            micro_multiply(Tinv, x)
+
+    def test_exact_floor_conversion_raises(self):
+        # T^-1 x, presented on the right, turns left by the same endless push
+        th = SymbolPoly(2, 0, 1, {(1,): Poly.var()})
+        P = MicroOp(th, 0, 0, {((0,), 1): Poly.var()}, side="right", laurent=True)
+        with pytest.raises(SearchBoundExceeded):
+            convert_presentation(P, "left")
+
     def test_level1_witness(self):
         s = DiffOp.dx(2, 1, 2)
         a = DiffOp.x(2, 1)

@@ -164,17 +164,26 @@ class TestTermAlgebra:
             "3 + 1/2*x1*xi2[1,1] - x2*xi1[1,2] + (1 + x1)*xi1[1,1]*xi2[1,2]")
 
     def test_operator_rendering(self):
-        assert render_diffop(DiffOp(2, 0, 2, self.TERMS2)) == (
-            "3 + 1/2*x1*d2 - x2*d1^2 + (1 + x1)*d1*d2^2")
-        assert render_diffop(DiffOp(2, 1, 2, self.TERMS2)) == (
-            "3 + 1/2*x1*D2[1,1] - x2*D1[1,2] + (1 + x1)*D1[1,1]*D2[1,2]")
-        assert render_diffop(DiffOp(3, 1, 1, self.TERMS1)) == (
-            "-2 + x1*D1[1,1] + (-1 + x1)*D1[1,3]")
+        # an operator prints as it renders
+        for P, text in [
+            (DiffOp(2, 0, 2, self.TERMS2), "3 + 1/2*x1*d2 - x2*d1^2 + (1 + x1)*d1*d2^2"),
+            (DiffOp(2, 1, 2, self.TERMS2),
+             "3 + 1/2*x1*D2[1,1] - x2*D1[1,2] + (1 + x1)*D1[1,1]*D2[1,2]"),
+            (DiffOp(3, 1, 1, self.TERMS1), "-2 + x1*D1[1,1] + (-1 + x1)*D1[1,3]"),
+        ]:
+            assert render_diffop(P) == str(P) == repr(P) == text
 
     def test_equality_keeps_the_ring(self):
         assert DiffOp.dx(2, 0) != SymbolPoly.xi(2, 0)
         assert SymbolPoly.xi(2, 0) != DiffOp.dx(2, 0)
         assert SymbolPoly.one(2, 0) == 1 and SymbolPoly.xi(2, 0) != 0
+
+    def test_symbol_and_operator_never_combine(self):
+        xi, d = SymbolPoly.xi(2, 0), DiffOp.dx(2, 0)
+        for combine in (lambda: xi + d, lambda: d + xi, lambda: xi - d,
+                        lambda: xi * d, lambda: d * xi):
+            with pytest.raises(LevelMismatch, match="cannot combine a"):
+                combine()
 
     def test_to_plain_shapes(self):
         f = SymbolPoly(2, 1, 1, self.TERMS1)

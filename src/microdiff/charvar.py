@@ -15,7 +15,7 @@ cross-checked against the variety where both sides carry clean certificates.
 from fractions import Fraction
 
 from .errors import BoundsExhausted, InvalidParameter, LevelMismatch, SymbolMismatch
-from .padic import binomial_structure_constant_exact, check_prime_and_level
+from .padic import binomial_structure_constant_exact, check_prime_and_level, valuation
 from .polynomials import Poly
 from .pseudopoly import digit_decomposition, SymbolPoly
 from .diffop import DiffOp, level_map_phi
@@ -101,17 +101,6 @@ def _mod_p_leading(P: DiffOp):
     return n, red.terms[(n,)]
 
 
-def _digits_compatible(a: int, b: int, p: int) -> bool:
-    """True iff adding a + b in base p has no carries, i.e. the graded
-    structure constant for xi_a * xi_b is a p-adic unit."""
-    while a or b:
-        if a % p + b % p >= p:
-            return False
-        a //= p
-        b //= p
-    return True
-
-
 def _lc(f: Poly) -> Fraction:
     return f.coeffs[(f.degree(),)]
 
@@ -179,7 +168,7 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
             for g, (ng, fg) in pool
             if ng <= n
             and fg.degree() <= f.degree()
-            and _digits_compatible(n - ng, ng, p)
+            and valuation(binomial_structure_constant_exact(p, P.m, (n - ng,), (ng,)), p) == 0
         ]
         if not candidates:
             return P

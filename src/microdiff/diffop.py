@@ -21,9 +21,10 @@ from .errors import (
     SearchBoundExceeded,
     ZeroOperator,
 )
-from .padic import divided_lift
 from .polynomials import Poly
-from .pseudopoly import SymbolPoly, TermAlgebra, rational_level_change, theta_variants
+from .pseudopoly import (
+    SymbolPoly, TermAlgebra, level_changed, rational_level_change, theta_variants,
+)
 from .record import FrozenRecord
 
 INF = math.inf
@@ -72,8 +73,11 @@ class DiffOp(TermAlgebra):
 
     dx = classmethod(TermAlgebra.basis.__func__)
     order = TermAlgebra.degree
-    to_plain = TermAlgebra.lifted_terms  # dict k -> Poly with P = sum c_k(x) D^k
     level_shift = rational_level_change
+
+    def to_plain(self) -> dict:
+        """The rational lift: dict k -> Poly with P = sum c_k(x) D^k."""
+        return level_changed(self.terms, self.p, self.m, 0)
 
     @classmethod
     def from_poly(cls, a: Poly, p, m):
@@ -89,16 +93,6 @@ class DiffOp(TermAlgebra):
         return max(c.degree(j) for c in self.terms.values() for j in range(self.d))
 
     # -- multiplication --------------------------------------------------------
-
-    @classmethod
-    def from_plain(cls, plain: dict, p: int, m: int, d: int) -> "DiffOp":
-        terms = {}
-        for k, c in plain.items():
-            const = Fraction(1)
-            for kj in k:
-                const *= divided_lift(kj, p, m)
-            terms[k] = c.scale(1 / const)
-        return cls(p, m, d, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -129,7 +123,7 @@ class DiffOp(TermAlgebra):
     def _from_product(self, prod, other):
         """Back to the level-m basis; products of integral operators stay integral."""
         plain = {M: Poly(self.d, c) for M, c in prod.items()}
-        out = DiffOp.from_plain(plain, self.p, self.m, self.d)
+        out = DiffOp(self.p, self.m, self.d, level_changed(plain, self.p, 0, self.m))
         if not out.is_integral() and self.is_integral() and other.is_integral():
             raise IntegralityViolation("product of integral operators not integral")
         return out

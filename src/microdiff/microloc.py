@@ -32,7 +32,7 @@ from .padic import (  # alpha_bound and normcalc_bounds are exported here too
     normcalc_bounds,
 )
 from .polynomials import Poly
-from .pseudopoly import SymbolPoly, check_theta, rational_level_change
+from .pseudopoly import SymbolPoly, TermSum, check_theta, rational_level_change
 from .record import FrozenRecord
 
 INF = math.inf
@@ -42,9 +42,11 @@ def term_order(k, i, n, p, mprime):
     return sum(k) - i * n * p**mprime
 
 
-class MicroOp:
+class MicroOp(TermSum):
     """Microdifferential operator presented at level ``level`` with localizer
-    theta-tilde at levels (level, mprime)."""
+    theta-tilde at levels (level, mprime): ``terms`` maps (k, i) to the
+    coefficient of the term of order |k| - i * localizer order, and terms
+    below the window floor are left out."""
 
     __slots__ = (
         "p", "level", "mprime", "theta", "side", "d",
@@ -72,16 +74,16 @@ class MicroOp:
         self.d = theta.d
         self.floor = floor
         self.laurent = laurent
-        n = theta.degree()
-        self.terms = {}
-        for (k, i), c in (terms or {}).items():
-            k = tuple(int(e) for e in k)
-            if i < 0:
-                raise ValueError("negative localizer powers only (i >= 0)")
-            if isinstance(c, (int, Fraction)):
-                c = Poly.const(c, self.d)
-            if not c.is_zero() and term_order(k, i, n, self.p, mprime) >= floor:
-                self.terms[(k, i)] = c
+        self._set_terms(terms)
+
+    def _key(self, key):
+        k, i = key
+        if i < 0:
+            raise ValueError("negative localizer powers only (i >= 0)")
+        k = self._exponent(k)
+        if sum(k) - i * self.localizer_order >= self.floor:
+            return k, i
+        return None
 
     # -- basics -----------------------------------------------------------
 
@@ -100,15 +102,8 @@ class MicroOp:
         return (self.p, self.level, self.mprime, self.theta, self.side, self.d)
 
     def with_terms(self, terms, floor=None):
-        return MicroOp(
-            self.theta,
-            self.level,
-            self.mprime,
-            terms,
-            self.side,
-            self.floor if floor is None else floor,
-            self.laurent,
-        )
+        floor = self.floor if floor is None else floor
+        return MicroOp(self.theta, self.level, self.mprime, terms, self.side, floor, self.laurent)
 
     @classmethod
     def from_diffop(cls, P: DiffOp, theta: SymbolPoly, mprime: int, floor=-INF, laurent=False):
@@ -128,9 +123,6 @@ class MicroOp:
     def one(cls, theta, level, mprime, floor=-INF, laurent=False):
         return cls(theta, level, mprime, {((0,) * theta.d, 0): 1}, "left", floor, laurent)
 
-    def is_zero(self):
-        return not self.terms
-
     def order(self):
         if not self.terms:
             return -INF
@@ -142,14 +134,6 @@ class MicroOp:
             for (k, i), c in self.terms.items()
             if term_order(k, i, self.n, self.p, self.mprime) == N0
         }
-
-    def p_valuation(self):
-        if not self.terms:
-            return INF
-        return min(c.p_valuation(self.p) for c in self.terms.values())
-
-    def is_integral(self):
-        return self.is_zero() or self.p_valuation() >= 0
 
     def truncate(self, floor) -> "MicroOp":
         return self.with_terms(self.terms, floor=max(floor, self.floor))
@@ -170,21 +154,7 @@ class MicroOp:
     def __add__(self, other):
         other = self._scalar(other)
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Poly.zero(self.d)) + c
-        return self.with_terms(out, floor=max(self.floor, other.floor))
-
-    def __neg__(self):
-        return self.with_terms({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = Poly.const(c, self.d)
-        return self.with_terms({key: c * v for key, v in self.terms.items()})
+        return self.with_terms(self._merged(other), floor=max(self.floor, other.floor))
 
     # -- canonical form -------------------------------------------------------
 

@@ -11,10 +11,11 @@ xi_j^<m><k> per exponent k, with k! xi^<m><k> = q_k! xi^k under the rational
 lift); the digit presentation (c_0,...,c_m) is available for display and for
 mod-p computations, the two being equal up to explicit p-adic units.
 
-``TermAlgebra`` holds the additive structure that this algebra shares with
-the level-m operator ring of ``diffop``: coefficients on a divided basis,
-sums, scaling, powers, equality, the rational lift and the term renderer.
-``SymbolPoly`` adds the commutative product.
+``TermSum`` holds the sums and scaling of every finite sum of Poly
+coefficients here, microdifferential operators included; ``TermAlgebra``
+adds what this algebra shares with the operator ring of ``diffop``, and
+``SymbolPoly`` the commutative product.  ``rational_level_change`` rescales
+between divided bases; to level 0 it is the rational lift.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import LevelMismatch, NotHomogeneous
+from .errors import InvalidParameter, LevelMismatch, NotHomogeneous
 from .padic import (
     binomial_structure_constant_exact,
     divided_lift,
@@ -32,6 +33,11 @@ from .padic import (
 from .polynomials import Poly, power
 
 INF = math.inf
+
+# No localizer has an order n*p^m' above this: at p = 2, `invert --expr d1`
+# took 0.24 s of CPU at --mprime 14 (order 2^14), 2.9 s at 16 and 29 s at 18,
+# on one Xeon core; each step of m' costs 2.5 to 5 times more.
+MAX_LOCALIZER_ORDER = 2**14
 
 
 def digit_decomposition(k: int, p: int, m: int):
@@ -72,22 +78,76 @@ def digit_form(k: int, p: int, m: int):
     return digits, u
 
 
-class TermAlgebra:
+class TermSum:
+    """Sums and scaling of a finite sum of nonzero Poly coefficients in
+    x_1..x_d, keyed by basis element (``TermAlgebra``: an exponent k;
+    ``microloc.MicroOp``: a pair (k, i) with a localizer power i).  A
+    subclass checks a key in ``_key``, which returns None for a term the
+    sum leaves out, and builds a sum like itself in ``with_terms``."""
+
+    __slots__ = ()
+
+    def _set_terms(self, terms):
+        """Checked keys, number coefficients as constant Polys, no zeros."""
+        clean = {}
+        for key, c in (terms or {}).items():
+            key = self._key(key)
+            if isinstance(c, (int, Fraction)):
+                c = Poly.const(c, self.d)
+            if key is not None and not c.is_zero():
+                clean[key] = c
+        self.terms = clean
+
+    def _exponent(self, k):
+        """k as a length-d tuple of integers >= 0; ValueError otherwise."""
+        k = tuple(int(e) for e in k)
+        if len(k) != self.d or any(e < 0 for e in k):
+            raise ValueError(f"bad exponent {k}")
+        return k
+
+    def is_zero(self):
+        return not self.terms
+
+    def p_valuation(self):
+        if not self.terms:
+            return INF
+        return min(c.p_valuation(self.p) for c in self.terms.values())
+
+    def is_integral(self):
+        return self.is_zero() or self.p_valuation() >= 0
+
+    def _merged(self, other) -> dict:
+        """The terms of self + other, for two sums that ``_check`` passed."""
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, Poly.zero(self.d)) + c
+        return out
+
+    def __add__(self, other):
+        self._check(other)
+        return self.with_terms(self._merged(other))
+
+    def __neg__(self):
+        return self.with_terms({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if isinstance(c, (int, Fraction)):
+            c = Poly.const(c, self.d)
+        return self.with_terms({key: c * v for key, v in self.terms.items()})
+
+
+class TermAlgebra(TermSum):
     """Finite sum of coeff * prod_j g_j^<m><k_j> over a divided basis g^<m><k>.
 
     The level-m operator ring (``DiffOp``, g = D) and its graded symbol
-    algebra (``SymbolPoly``, g = xi) share this additive structure at fixed
-    (p, m, d); each subclass adds its own product.  ``terms`` maps exponent
+    algebra (``SymbolPoly``, g = xi) share this structure at fixed (p, m, d);
+    each subclass adds its own product.  ``terms`` maps exponent
     multi-indices k (length-d tuples of integers >= 0) to nonzero Poly
     coefficients in x_1..x_d.  The degree (for operators, the order) of a
     term is |k| = sum k_j.
-
-    ``lifted_terms`` is the rational lift g^<m><k> -> (q_k!/k!) g^k.
-    ``to_plain`` returns it as a dict on ``DiffOp``, because the Leibniz
-    product works on the plain D^k basis directly, and as a level-0
-    ``SymbolPoly`` on ``SymbolPoly``, because on symbols the lift is the
-    Q-algebra map to level 0 and its result is compared and multiplied as a
-    symbol.  Instances are never changed in place.
     """
 
     __slots__ = ("p", "m", "d", "terms")
@@ -96,16 +156,12 @@ class TermAlgebra:
         self.p = p
         self.m = m
         self.d = d
-        clean = {}
-        for k, c in (terms or {}).items():
-            k = tuple(int(e) for e in k)
-            if len(k) != d or any(e < 0 for e in k):
-                raise ValueError(f"bad exponent {k}")
-            if isinstance(c, (int, Fraction)):
-                c = Poly.const(c, d)
-            if not c.is_zero():
-                clean[k] = c
-        self.terms = clean
+        self._set_terms(terms)
+
+    _key = TermSum._exponent
+
+    def with_terms(self, terms):
+        return type(self)(self.p, self.m, self.d, terms)
 
     # -- constructors ---------------------------------------------------
 
@@ -130,32 +186,19 @@ class TermAlgebra:
 
     # -- views ------------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         if not self.terms:
             return -INF
         return max(sum(k) for k in self.terms)
-
-    def p_valuation(self):
-        if not self.terms:
-            return INF
-        return min(c.p_valuation(self.p) for c in self.terms.values())
-
-    def is_integral(self):
-        return self.is_zero() or self.p_valuation() >= 0
 
     def coefficient(self, k) -> Poly:
         return self.terms.get(tuple(k), Poly.zero(self.d))
 
     def mod_p(self):
         """Coefficient-wise reduction mod p (requires p-integrality)."""
-        return type(self)(
-            self.p, self.m, self.d, {k: c.mod_p(self.p) for k, c in self.terms.items()}
-        )
+        return self.with_terms({k: c.mod_p(self.p) for k, c in self.terms.items()})
 
-    # -- additive structure ------------------------------------------------
+    # -- operands, powers, equality -----------------------------------------
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -166,24 +209,6 @@ class TermAlgebra:
             raise LevelMismatch(
                 f"(p,m,d)={(self.p, self.m, self.d)} vs {(other.p, other.m, other.d)}"
             )
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Poly.zero(self.d)) + c
-        return type(self)(self.p, self.m, self.d, out)
-
-    def __neg__(self):
-        return type(self)(self.p, self.m, self.d, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = Poly.const(c, self.d)
-        return type(self)(self.p, self.m, self.d, {k: c * v for k, v in self.terms.items()})
 
     def __pow__(self, n):
         return power(self, n, type(self).one(self.p, self.m, self.d))
@@ -200,17 +225,7 @@ class TermAlgebra:
     def __hash__(self):
         return hash((self.p, self.m, self.d, frozenset(self.terms.items())))
 
-    # -- rational lift and rendering -----------------------------------------
-
-    def lifted_terms(self) -> dict:
-        """Image under g^<m><k> -> (q_k!/k!) g^k, as a dict k -> Poly."""
-        out = {}
-        for k, c in self.terms.items():
-            const = Fraction(1)
-            for kj in k:
-                const *= divided_lift(kj, self.p, self.m)
-            out[k] = c.scale(const)
-        return out
+    # -- rendering ----------------------------------------------------------
 
     def render(self, gen, coeff=str) -> str:
         """Terms by (degree, k), each coeff(c)*gen(j, k_j)*... over k_j != 0."""
@@ -246,9 +261,7 @@ class SymbolPoly(TermAlgebra):
         if not self.terms:
             return self
         n = self.degree()
-        return SymbolPoly(
-            self.p, self.m, self.d, {k: c for k, c in self.terms.items() if sum(k) == n}
-        )
+        return self.with_terms({k: c for k, c in self.terms.items() if sum(k) == n})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -267,7 +280,7 @@ class SymbolPoly(TermAlgebra):
 
     def to_plain(self) -> "SymbolPoly":
         """Image under xi^<m><k> -> (q_k!/k!) xi^k, as a level-0 SymbolPoly."""
-        return SymbolPoly(self.p, 0, self.d, self.lifted_terms())
+        return rational_level_change(self, 0)
 
     def _gen(self, j, kj):
         if self.d == 1:
@@ -304,29 +317,42 @@ def normalize(p: int, m: int, d: int, raw_terms) -> SymbolPoly:
     return SymbolPoly(p, m, d, out)
 
 
-def rational_level_change(f, mprime: int):
-    """Re-express a SymbolPoly or DiffOp f at level mprime over Q (exact, any
-    direction): xi^<m><k> -> (q_k^(m)! / q_k^(m')!) xi^<m'><k> per coordinate,
-    and likewise D^<m><k>.  On symbols it is the Q-algebra isomorphism to
-    level mprime; ``DiffOp.level_shift`` is this function."""
+def level_changed(terms: dict, p: int, m: int, mprime: int) -> dict:
+    """Terms on the <m><k> basis rewritten on the <m'><k> basis, exact over
+    Q in either direction: g^<m><k> = (q_k^(m)! / q_k^(m')!) g^<m'><k> per
+    coordinate.  To level 0 it is the rational lift g^<m><k> ->
+    (q_k!/k!) g^k, the plain basis of the Leibniz rule."""
     out = {}
-    for k, c in f.terms.items():
+    for k, c in terms.items():
         const = Fraction(1)
         for kj in k:
-            const *= level_shift_constant(kj, f.p, f.m, mprime)
+            const *= level_shift_constant(kj, p, m, mprime)
         out[k] = c.scale(const)
-    return type(f)(f.p, mprime, f.d, out)
+    return out
+
+
+def rational_level_change(f, mprime: int):
+    """Re-express a SymbolPoly or DiffOp f at level mprime over Q (exact, any
+    direction).  On symbols it is the Q-algebra isomorphism to level
+    mprime; ``DiffOp.level_shift`` is this function."""
+    return type(f)(f.p, mprime, f.d, level_changed(f.terms, f.p, f.m, mprime))
 
 
 def check_theta(theta: SymbolPoly, m: int, mprime: int):
     """Reject what cannot be a localizer symbol at levels (m, m'): theta must
-    be a nonzero homogeneous level-0 symbol of degree >= 1, and 0 <= m <= m'."""
+    be a nonzero homogeneous level-0 symbol of degree n >= 1, 0 <= m <= m',
+    and the localizer order n*p^m' at most MAX_LOCALIZER_ORDER."""
     if theta.m != 0:
         raise LevelMismatch("theta must be a level-0 symbol")
-    if theta.is_zero() or not theta.is_homogeneous() or theta.degree() < 1:
+    n = theta.degree()
+    if not theta.is_homogeneous() or n < 1:  # the zero symbol has degree -inf
         raise NotHomogeneous("theta must be nonzero homogeneous of degree >= 1")
     if not 0 <= m <= mprime:
         raise LevelMismatch(f"need 0 <= m <= m', got m = {m} and m' = {mprime}")
+    # p^m' is above the cap once m' reaches its bit length: no huge power
+    cap = MAX_LOCALIZER_ORDER
+    if n * theta.p ** min(mprime, cap.bit_length()) > cap:
+        raise InvalidParameter(f"localizer order n*p^m' above {cap} at m' = {mprime}")
 
 
 def theta_variants(theta: SymbolPoly, m: int, mprime: int):

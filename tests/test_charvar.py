@@ -85,6 +85,14 @@ class TestOrderStandardBasis:
         for P in module(2, 1, (D(2) - X(2)).level_shift(1)).relations:
             assert _normal_form(P, paired, sb.bounds).is_zero()
 
+    def test_reducer_whose_structure_constant_is_a_unit(self):
+        # at p = 2 and level 0 the structure constant of d * d is 1, a unit,
+        # so d reduces x*d^2 = (x*d)*d and no 1*Xi^2 joins the basis; x*Xi^2
+        # stays, since relations are admitted unreduced
+        cv = char_variety(module(2, 0, D(2), X(2) * D(2) ** 2))
+        assert cv.generators == ["1*Xi^1", "x*Xi^2"]
+        assert cv.char_class == char_variety(module(2, 0, D(2))).char_class
+
     def test_basis_elements_are_integral_content_zero(self):
         for lvl in (0, 1, 2):
             sb = order_standard_basis(

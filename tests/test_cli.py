@@ -332,6 +332,10 @@ class TestBoundary:
         ("verify-counterexample", "--p", "2", "--nmax", "100000000"),
         ("normcalc-bounds", "--p", "2", "--m", "0", "--mprime", "1", "--k", "4", "--d", "0"),
         ("normcalc-bounds", "--p", "2", "--m", "0", "--mprime", "1", "--k", "4", "--d", "-1"),
+        ("invert", "--p", "2", "--expr", "d1", "--mprime", "20"),
+        ("mul", "--p", "2", "--expr", "Tinv(xi1,0,18) * d1"),
+        ("normcalc-bounds", "--p", "2", "--m", "0", "--mprime", "16000", "--k", "4"),
+        ("invert", "--p", "2", "--expr", "d1 - x1", "--mprime", "0", "--window-floor", "-300"),
     ]
 
     @pytest.mark.parametrize(
@@ -343,7 +347,9 @@ class TestBoundary:
              "stability-mprime-below-level", "microop-power", "zero-negative-power",
              "nested-parentheses", "nested-minus", "nested-tinv", "exponent-above-cap",
              "member-scalar", "member-symbol", "nmax-above-cap", "normcalc-d-0",
-             "normcalc-d-negative"],
+             "normcalc-d-negative", "localizer-order-above-cap",
+             "tinv-localizer-order-above-cap", "normcalc-mprime-above-cap",
+             "window-floor-below-cap"],
     )
     def test_one_error_line_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -22,7 +22,7 @@ from microdiff.errors import (
 )
 from microdiff.padic import divided_lift
 from microdiff.polynomials import Poly
-from microdiff.pseudopoly import SymbolPoly
+from microdiff.pseudopoly import SymbolPoly, rational_level_change
 
 
 def ops_equal_via_action(P: DiffOp, Q: DiffOp, tmax=None) -> bool:
@@ -89,6 +89,16 @@ class TestDifferentialOracles:
         exps = st.tuples(*[st.integers(-2, 4)] * P.d)
         f = Poly(P.d, data.draw(st.dictionaries(exps, st.integers(-5, 5), max_size=4)))
         assert (P * Q).apply(f) == P.apply(Q.apply(f))
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator_pairs())
+    def test_plain_lift_is_the_level_change_to_level_0(self, ops):
+        P, _ = ops
+        plain = P.to_plain()
+        for k, c in P.terms.items():
+            assert plain[k] == c.scale(math.prod(divided_lift(kj, P.p, P.m) for kj in k))
+        assert DiffOp(P.p, 0, P.d, plain) == rational_level_change(P, 0)
+        assert rational_level_change(DiffOp(P.p, 0, P.d, plain), P.m) == P
 
 
 class TestDefiningRelation:

@@ -46,6 +46,57 @@ def rand_micro(rng, theta, level, mprime, nterms=3, maxk=5, maxi=2, maxdeg=2):
     return MicroOp(theta, level, mprime, terms)
 
 
+@st.composite
+def left_micro_pairs(draw):
+    """Two random left MicroOps on one localizer theta = xi: p = 2 or 3,
+    0 <= m <= m' <= 2, one window floor, up to four (k, i) terms each."""
+    p = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(0, 2))
+    mp = draw(st.integers(m, 2))
+    floor = draw(st.sampled_from([-math.inf, -6, -2]))
+    polys = st.dictionaries(
+        st.tuples(st.integers(0, 3)), st.integers(-4, 4), max_size=3
+    ).map(lambda c: Poly(1, c))
+    keys = st.tuples(st.tuples(st.integers(0, 5)), st.integers(0, 2))
+    xi = SymbolPoly.xi(p, 0)
+    return [
+        MicroOp(xi, m, mp, draw(st.dictionaries(keys, polys, max_size=4)), floor=floor)
+        for _ in range(2)
+    ]
+
+
+def nonzero(buckets):
+    return {i: B for i, B in buckets.items() if not B.is_zero()}
+
+
+class TestAdditiveStructure:
+    """MicroOp's sums are DiffOp's sums, one T-power bucket at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(left_micro_pairs(), st.sampled_from([0, -3, Fraction(1, 2), Poly.var()]))
+    def test_bucket_by_bucket(self, pair, c):
+        A, B = pair
+        a, b = A.buckets(), B.buckets()
+        zero = DiffOp.zero(A.p, A.level)
+        both = a.keys() | b.keys()
+        assert (A + B).buckets() == nonzero({i: a.get(i, zero) + b.get(i, zero) for i in both})
+        assert (A - B).buckets() == nonzero({i: a.get(i, zero) - b.get(i, zero) for i in both})
+        assert (-A).buckets() == {i: -D for i, D in a.items()}
+        assert A.scale(c).buckets() == nonzero({i: D.scale(c) for i, D in a.items()})
+        assert A.p_valuation() == min((D.p_valuation() for D in a.values()), default=math.inf)
+        assert A.is_zero() == (not a)
+        assert A.is_integral() == all(D.is_integral() for D in a.values())
+
+    @pytest.mark.parametrize("key", [((-1,), 0), ((1, 0), 0), ((0,), -1)],
+                             ids=["negative-exponent", "wrong-length", "negative-power"])
+    def test_bad_key_rejected(self, key):
+        with pytest.raises(ValueError):
+            MicroOp(XI2, 0, 0, {key: 1})
+        if key[1] >= 0:  # the exponent alone, as DiffOp checks it
+            with pytest.raises(ValueError):
+                DiffOp(2, 0, 1, {key[0]: 1})
+
+
 class TestPresentation:
     def test_term_order(self):
         # order of (k, i) is |k| - i*n*p^m'

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from microdiff.diffop import DiffOp, build_theta_tilde, render_diffop
 from microdiff.padic import divided_lift, level_factorial_ratio_exact, valuation
-from microdiff.errors import LevelMismatch, NotHomogeneous
+from microdiff.errors import InvalidParameter, LevelMismatch, NotHomogeneous
 from microdiff.microloc import MicroOp
 from microdiff.polynomials import Poly
 from microdiff.pseudopoly import (
+    MAX_LOCALIZER_ORDER,
     SymbolPoly,
     digit_decomposition,
     digit_form,
@@ -282,6 +283,15 @@ class TestThetaVariants:
             for build in (theta_variants, build_theta_tilde, MicroOp):
                 with pytest.raises(LevelMismatch):
                     build(xi, m, mp)
+
+    def test_localizer_order_above_cap_rejected(self):
+        # n*p^m' = 2^15 at theta = xi, p = 2; a huge m' is refused as fast
+        xi = SymbolPoly.xi(2, 0)
+        for mp in (15, 10**12):
+            for build in (theta_variants, build_theta_tilde, MicroOp):
+                with pytest.raises(InvalidParameter, match="localizer order"):
+                    build(xi, 0, mp)
+        assert build_theta_tilde(xi, 0, 14).order == MAX_LOCALIZER_ORDER
 
 
 class TestIsogenyBound:

@@ -546,6 +546,13 @@ def verify_counterexample(p: int, n_max: int = 30) -> dict:
 # -- stability probe --------------------------------------------------------------
 
 
+# No mprime_max above this: one Char per level.  `stability --p 2 --rel
+# "d1 - x1"` took 0.28 s of CPU at 16, 0.51 s at 64 and 1.2 s at 128 on one
+# Xeon core, but a costlier module takes seconds a level: `--p 3 --rel
+# "x1^2*d1^2 - x1"` took 6 s at 4 and 29 s at 16.
+MAX_STABILITY_MPRIME = 16
+
+
 def stability_probe(M: CyclicModule, mprime_max: int, bounds: Bounds = Bounds()) -> dict:
     """Char^(m') for each level m' = m..mprime_max, with the least level from
     which the Char column stops changing within bounds (empirical N), and the
@@ -555,6 +562,8 @@ def stability_probe(M: CyclicModule, mprime_max: int, bounds: Bounds = Bounds())
         raise LevelMismatch(
             f"need mprime_max >= the module level {M.m}, got {mprime_max}"
         )
+    if mprime_max > MAX_STABILITY_MPRIME:
+        raise InvalidParameter(f"mprime_max {mprime_max} above the cap of {MAX_STABILITY_MPRIME}")
     rows = []
     classes = []
     for mp in range(M.m, mprime_max + 1):

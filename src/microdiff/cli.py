@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import ExprSyntaxError, InvalidParameter, MicrodiffError
 from .padic import check_prime_and_level, normcalc_bounds
 from .polynomials import Poly
-from .pseudopoly import SymbolPoly
+from .pseudopoly import SymbolPoly, TermAlgebra
 from .diffop import DiffOp, level_map_phi, order_and_symbol
 # microloc is imported where a value needs it: a Tinv atom, the psi, invert
 # and member commands; a command without one never loads it
@@ -49,15 +49,21 @@ MAX_EXPONENT = 32
 # took 1.8 s of CPU at -32, 4.7 s at -48 and 33 s at -96, on one Xeon core.
 MIN_WINDOW_FLOOR = -32
 
-# The parser's value types by rank; a mixed sum or product is lifted to the
-# higher rank.  Any other value is a MicroOp (rank 3), which only a Tinv atom
-# makes, so this table names no microloc type.
-_RANK = {int: 0, Fraction: 0, SymbolPoly: 1, DiffOp: 2}
-_MICRO = 3
+# Atom names: a generator with a 1-based coordinate, Tinv<w>, or the prime p.
+# xi<j> belongs to symbol expressions, d<j>, D<j>[m,k] and Tinv to operator
+# expressions; x<j>, p and numbers to both.
+_NAME = re.compile(r"(xi|x|d|D)(\d+)|(Tinv)(\d*)|p")
+_SYMBOL_ATOM = {"xi": True, "d": False, "D": False, "Tinv": False}
+_MODE_ATOMS = {
+    True: "a symbol expression takes xi<j>, x<j>, numbers and p",
+    False: "an operator expression takes x<j>, d<j>, D<j>[m,k], Tinv, numbers and p",
+}
 
 
-def _rank(v):
-    return _RANK.get(type(v), _MICRO)
+def _is_micro(v):
+    # only a Tinv atom makes a MicroOp, the one value that is neither a number
+    # nor a TermAlgebra; so cli names no microloc type
+    return not isinstance(v, (int, Fraction, TermAlgebra))
 
 
 _TOKEN = re.compile(
@@ -90,19 +96,21 @@ def _tokenize(text):
 class _Parser:
     """Recursive descent for +, -, * (noncommutative), ^ on atoms.
 
-    Atoms: integers; `p` and `p^e` (the session prime); `x<j>`; `d<j>`
-    (level-m basis via the session level, default 0); `D<j>[m,k]` (explicit
-    divided basis element); `xi<j>` (degree-1 level-0 symbol, for localizer
-    expressions); `Tinv<w>(theta, m, mprime)` (the w-th inverse power of the
-    theta-tilde localizer, presented at level m w.r.t. level mprime).
+    An operator expression (the default) has the atoms: integers; `p` and
+    `p^e` (the session prime); `x<j>`; `d<j>` (level-m basis via the
+    session level, default 0); `D<j>[m,k]` (explicit divided basis
+    element); `Tinv<w>(theta, m, mprime)` (the w-th inverse power of the
+    theta-tilde localizer, presented at level m w.r.t. level mprime).  theta
+    is a symbol expression, whose atoms are integers, `p`, `x<j>` and `xi<j>`
+    (degree-1 level-0 symbol).  So a symbol never meets an operator.
     """
 
     def __init__(self, text, session):
-        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
         self.s = session
+        self.symbol_mode = False
 
     def peek(self):
         return self.toks[self.i]
@@ -116,9 +124,20 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self):
-        v = self.expr()
+    def parse(self, symbol=False):
+        v = self.symbol() if symbol else self.expr()
         self.take("end")
+        return v
+
+    def symbol(self):
+        """A symbol expression, one nesting level deeper, as a SymbolPoly.
+        Only operator mode enters symbol mode (Tinv is no symbol atom), so
+        operator mode resumes on return."""
+        self.symbol_mode = True
+        v = self.nested(self.expr)
+        self.symbol_mode = False
+        if not isinstance(v, SymbolPoly):
+            raise ExprSyntaxError("expected a symbol expression, such as xi1")
         return v
 
     def expr(self):
@@ -126,14 +145,23 @@ class _Parser:
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
             op = self.take("op")[1]
             w = self.term()
-            v = self._add(v, w if op == "+" else -w)
+            w = w if op == "+" else -w
+            # a sum with a MicroOp is taken on that operand's localizer
+            v = w + v if _is_micro(w) and not _is_micro(v) else v + w
         return v
 
     def term(self):
         v = self.factor()
         while self.peek()[:2] == ("op", "*"):
             self.take("op", "*")
-            v = self._mul(v, self.factor())
+            w = self.factor()
+            micro = v if _is_micro(v) else w if _is_micro(w) else None
+            if micro is None:
+                v = v * w
+            else:
+                from .microloc import micro_multiply
+
+                v = micro_multiply(micro.lift(v), micro.lift(w))
         return v
 
     def nested(self, parse):
@@ -153,7 +181,7 @@ class _Parser:
         v = self.atom()
         while self.peek()[:2] == ("op", "^"):
             self.take("op", "^")
-            if _rank(v) == _MICRO:
+            if _is_micro(v):
                 raise ExprSyntaxError(
                     "no powers of micro-operators: write Tinv<w>(...) or an explicit product"
                 )
@@ -195,55 +223,41 @@ class _Parser:
     def name_atom(self):
         tok = self.take("name")
         name = tok[1]
-        if name == "p":
-            return self.s.p
-        m = re.fullmatch(r"x(\d+)", name)
-        if m:
-            j = int(m.group(1)) - 1
-            self._check_coord(j, tok)
-            if self.s.symbol_mode:
-                return SymbolPoly(
-                    self.s.p, 0, self.s.d, {(0,) * self.s.d: Poly.var(j, self.s.d)}
-                )
-            return DiffOp.x(self.s.p, self.s.level, j, self.s.d)
-        m = re.fullmatch(r"d(\d+)", name)
-        if m:
-            j = int(m.group(1)) - 1
-            self._check_coord(j, tok)
-            if self.s.symbol_mode:
-                raise ExprSyntaxError("use xi<j> inside a symbol expression")
-            return DiffOp.dx(self.s.p, self.s.level, 1, j, self.s.d)
-        m = re.fullmatch(r"xi(\d+)", name)
-        if m:
-            j = int(m.group(1)) - 1
-            self._check_coord(j, tok)
-            return SymbolPoly.xi(self.s.p, 0, 1, j, self.s.d)
-        m = re.fullmatch(r"D(\d+)", name)
-        if m:
-            j = int(m.group(1)) - 1
-            self._check_coord(j, tok)
-            self.take("op", "[")
-            lvl = self.take("num")[1]
-            self.take("op", ",")
-            k = self.take("num")[1]
-            self.take("op", "]")
-            return DiffOp.dx(self.s.p, lvl, k, j, self.s.d)
-        m = re.fullmatch(r"Tinv(\d*)", name)
-        if m:
-            power = int(m.group(1)) if m.group(1) else 1
-            return self.tinv_atom(power)
-        raise ExprSyntaxError(f"unknown name {name!r}", span=(tok[2], tok[2] + len(name)))
+        span = (tok[2], tok[2] + len(name))
+        m = _NAME.fullmatch(name)
+        if not m:
+            raise ExprSyntaxError(f"unknown name {name!r}", span=span)
+        gen, j, tinv, power = m.groups()
+        if _SYMBOL_ATOM.get(gen or tinv, self.symbol_mode) != self.symbol_mode:
+            raise ExprSyntaxError(
+                f"{name} is out of place: {_MODE_ATOMS[self.symbol_mode]}", span=span
+            )
+        if tinv:
+            return self.tinv_atom(int(power or 1))
+        p, d = self.s.p, self.s.d
+        if not gen:
+            return p
+        j = int(j) - 1
+        if not 0 <= j < d:
+            raise ExprSyntaxError(f"coordinate index out of range for d={d}", span=span)
+        if gen == "xi":
+            return SymbolPoly.xi(p, 0, 1, j, d)
+        if gen == "x":
+            if self.symbol_mode:
+                return SymbolPoly(p, 0, d, {(0,) * d: Poly.var(j, d)})
+            return DiffOp.x(p, self.s.level, j, d)
+        if gen == "d":
+            return DiffOp.dx(p, self.s.level, 1, j, d)
+        self.take("op", "[")
+        lvl = self.take("num")[1]
+        self.take("op", ",")
+        k = self.take("num")[1]
+        self.take("op", "]")
+        return DiffOp.dx(p, lvl, k, j, d)
 
     def tinv_atom(self, power):
         self.take("op", "(")
-        was = self.s.symbol_mode
-        self.s.symbol_mode = True
-        try:
-            theta = self.nested(self.expr)
-        finally:
-            self.s.symbol_mode = was
-        if isinstance(theta, (int, Fraction)):
-            raise ExprSyntaxError("Tinv needs a symbol, not a scalar")
+        theta = self.symbol()
         args = []
         while self.peek()[:2] == ("op", ","):
             self.take("op", ",")
@@ -266,54 +280,6 @@ class _Parser:
             self.s.laurent,
         )
 
-    def _check_coord(self, j, tok):
-        if not 0 <= j < self.s.d:
-            raise ExprSyntaxError(
-                f"coordinate index out of range for d={self.s.d}",
-                span=(tok[2], tok[2] + len(str(tok[1]))),
-            )
-
-    # -- mixed-type arithmetic ------------------------------------------
-
-    def _add(self, a, b):
-        a, b = self._coerce(a, b)
-        return a + b
-
-    def _mul(self, a, b):
-        a, b = self._coerce(a, b)
-        if _rank(a) == _MICRO:
-            from .microloc import micro_multiply
-
-            return micro_multiply(a, b)
-        return a * b
-
-    def _coerce(self, a, b):
-        """Lift scalars and DiffOps so both operands share a type."""
-        hi = max(_rank(a), _rank(b))
-        return self._lift(a, hi, b), self._lift(b, hi, a)
-
-    def _lift(self, v, hi, other):
-        # at rank _MICRO, other is a MicroOp: type(other) is the class
-        if isinstance(v, (int, Fraction)):
-            c = Fraction(v)
-            if hi == 1:
-                return SymbolPoly.scalar(c, self.s.p, other.m, self.s.d)
-            if hi == 2:
-                return DiffOp.scalar(c, self.s.p, other.m, self.s.d)
-            if hi == _MICRO:
-                return type(other).one(
-                    other.theta, other.level, other.mprime,
-                    floor=other.floor, laurent=other.laurent,
-                ).scale(c)
-            return c
-        if isinstance(v, DiffOp) and hi == _MICRO:
-            return type(other).from_diffop(
-                v, other.theta, other.mprime, floor=other.floor, laurent=other.laurent
-            )
-        if isinstance(v, SymbolPoly) and hi >= 2:
-            raise ExprSyntaxError("cannot mix symbols and operators in one expression")
-        return v
-
 
 class Session:
     """Shared context for one CLI invocation; all values share p and live on
@@ -328,30 +294,23 @@ class Session:
         self.window_floor = window_floor
         self.d = 1
         self.laurent = laurent
-        self.symbol_mode = False
 
 
 def parse(text, session):
-    """Parse an expression to a DiffOp, SymbolPoly, MicroOp, or scalar."""
+    """Parse an operator expression to a DiffOp, MicroOp, or number."""
     return _Parser(text, session).parse()
 
 
 def parse_symbol(text, session):
-    session.symbol_mode = True
-    try:
-        v = parse(text, session)
-    finally:
-        session.symbol_mode = False
-    if not isinstance(v, SymbolPoly):
-        raise ExprSyntaxError("expected a symbol expression")
-    return v
+    """Parse a symbol expression, such as the --theta of invert, to a SymbolPoly."""
+    return _Parser(text, session).parse(symbol=True)
 
 
 # -- rendering ---------------------------------------------------------------------
 
 
 def _json_value(v):
-    if _rank(v) == _MICRO:
+    if _is_micro(v):
         return v.to_json()
     if isinstance(v, DiffOp):
         return {"kind": "diffop", "level": v.m, "text": str(v)}
@@ -425,7 +384,7 @@ def cmd_levelmap(args, session):
 
 def cmd_psi(args, session):
     v = parse(args.expr, session)
-    if _rank(v) != _MICRO:
+    if not _is_micro(v):
         raise ExprSyntaxError("psi needs a microlocal operator")
     from .microloc import psi_level_lower
 
@@ -436,7 +395,7 @@ def cmd_psi(args, session):
 
 def cmd_invert(args, session):
     v = parse(args.expr, session)
-    if _rank(v) < 2:
+    if isinstance(v, (int, Fraction)):
         raise ExprSyntaxError("invert needs a differential or microlocal operator")
     theta = parse_symbol(args.theta, session)
     from .microloc import try_invert
@@ -457,7 +416,7 @@ def cmd_invert(args, session):
 
 def cmd_member(args, session):
     v = parse(args.P, session)
-    if _rank(v) != _MICRO:
+    if not _is_micro(v):
         raise ExprSyntaxError("member needs a microlocal operator (use Tinv)")
     from .microloc import change_presentation_level, membership_intermediate
 

@@ -144,15 +144,18 @@ class MicroOp(TermSum):
         if self._meta() != other._meta():
             raise IncompatibleLocalizer(f"{self._meta()} vs {other._meta()}")
 
-    def _scalar(self, c):
-        """A number c as an operator with this one's localizer, exact at
-        every order; any other value is returned as it is."""
-        if isinstance(c, (int, Fraction)):
-            return self.with_terms({((0,) * self.d, 0): c}, floor=-INF)
-        return c
+    def lift(self, v):
+        """A number or a DiffOp v as an operator on this one's localizer and
+        side, exact at every order (floor -inf); any other value as it is."""
+        if isinstance(v, (int, Fraction)):
+            return self.with_terms({((0,) * self.d, 0): v}, floor=-INF)
+        if isinstance(v, DiffOp):
+            lifted = MicroOp.from_diffop(v, self.theta, self.mprime, laurent=self.laurent)
+            return convert_presentation(lifted, self.side)
+        return v
 
     def __add__(self, other):
-        other = self._scalar(other)
+        other = self.lift(other)
         self._check(other)
         return self.with_terms(self._merged(other), floor=max(self.floor, other.floor))
 
@@ -204,7 +207,10 @@ class MicroOp(TermSum):
         return convert_presentation(self, "left").canonical()
 
     def __eq__(self, other):
-        other = self._scalar(other)
+        # a number is lifted; a DiffOp is not, so that equality stays
+        # symmetric with DiffOp.__eq__, which never equals a MicroOp
+        if isinstance(other, (int, Fraction)):
+            other = self.lift(other)
         if not isinstance(other, MicroOp):
             return False
         a, b = self._left_canonical(), other._left_canonical()

@@ -83,7 +83,8 @@ class TermSum:
     x_1..x_d, keyed by basis element (``TermAlgebra``: an exponent k;
     ``microloc.MicroOp``: a pair (k, i) with a localizer power i).  A
     subclass checks a key in ``_key``, which returns None for a term the
-    sum leaves out, and builds a sum like itself in ``with_terms``."""
+    sum leaves out, builds a sum like itself in ``with_terms``, and lifts
+    another value onto its own kind in ``lift``."""
 
     __slots__ = ()
 
@@ -124,8 +125,13 @@ class TermSum:
         return out
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            other = self.lift(other)
         self._check(other)
         return self.with_terms(self._merged(other))
+
+    def __radd__(self, other):
+        return self + other
 
     def __neg__(self):
         return self.with_terms({key: -c for key, c in self.terms.items()})
@@ -210,12 +216,17 @@ class TermAlgebra(TermSum):
                 f"(p,m,d)={(self.p, self.m, self.d)} vs {(other.p, other.m, other.d)}"
             )
 
+    def lift(self, c):
+        """A number c as an element like this one; any other value as it is."""
+        if isinstance(c, (int, Fraction)):
+            return type(self).scalar(c, self.p, self.m, self.d)
+        return c
+
     def __pow__(self, n):
         return power(self, n, type(self).one(self.p, self.m, self.d))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = type(self).scalar(other, self.p, self.m, self.d)
+        other = self.lift(other)
         return (
             type(other) is type(self)
             and (self.p, self.m, self.d) == (other.p, other.m, other.d)
@@ -239,6 +250,8 @@ class TermAlgebra(TermSum):
                 parts.append(cs)
             elif cs == "1":
                 parts.append(mono)
+            elif cs == "-1":
+                parts.append(f"-{mono}")
             else:
                 cs = f"({cs})" if ("+" in cs or "-" in cs[1:]) else cs
                 parts.append(f"{cs}*{mono}")

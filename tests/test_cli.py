@@ -68,7 +68,7 @@ class TestParser:
 
     def test_too_deep_nesting_leaves_the_session_usable(self):
         with pytest.raises(ExprSyntaxError, match="nested too deeply"):
-            parse("Tinv(" * 1200 + "xi1" + ")" * 1200, self.s)
+            parse("Tinv(" + "(" * 1200 + "xi1" + ")" * 1200 + ")", self.s)
         assert parse("(" * 50 + "d1" + ")" * 50, self.s) == DiffOp.dx(2, 0)
 
     def test_exponent_cap(self):
@@ -105,6 +105,14 @@ class TestParser:
         assert v.terms[((0,), 1)].coeffs == {(1,): 1}
         assert v.terms[((0,), 2)].coeffs == {(0,): -1}
 
+    def test_exact_factor_keeps_the_floor(self):
+        # d1^3*Tinv has order 2 and floor -6 + 3; an exact factor, known at
+        # every order, leaves that floor (one lifted at floor -3 gave -1)
+        s = Session(p=2, window_floor=-6)
+        for text in ("2*(d1^3*Tinv(xi1,0,0))", "x1*(d1^3*Tinv(xi1,0,0))",
+                     "(d1^3*Tinv(xi1,0,0))*2"):
+            assert parse(text, s).floor == -3, text
+
     def test_syntax_error_has_span(self):
         with pytest.raises(ExprSyntaxError) as exc:
             parse("d1 + @", self.s)
@@ -119,8 +127,13 @@ class TestParser:
             parse("d2", self.s)
 
     def test_mixing_symbols_and_operators_rejected(self):
-        with pytest.raises(ExprSyntaxError):
-            parse("xi1 * d1", self.s)
+        # a symbol atom in an operator expression, or an operator atom in
+        # Tinv's symbol expression
+        for text in ("xi1 * d1", "xi1", "Tinv(d1)", "Tinv(D1[0,1])", "Tinv(Tinv(xi1,0,0))"):
+            with pytest.raises(ExprSyntaxError, match="out of place"):
+                parse(text, self.s)
+        with pytest.raises(ExprSyntaxError, match="out of place"):
+            parse_symbol("xi1 + d1", self.s)
 
 
 # -- commands ---------------------------------------------------------------------
@@ -336,6 +349,8 @@ class TestBoundary:
         ("mul", "--p", "2", "--expr", "Tinv(xi1,0,18) * d1"),
         ("normcalc-bounds", "--p", "2", "--m", "0", "--mprime", "16000", "--k", "4"),
         ("invert", "--p", "2", "--expr", "d1 - x1", "--mprime", "0", "--window-floor", "-300"),
+        ("levelmap", "--p", "2", "--expr", "d1^4", "--mprime", "1000000000"),
+        ("stability", "--p", "2", "--rel", "d1 - x1", "--mprime-max", "400"),
     ]
 
     @pytest.mark.parametrize(
@@ -349,7 +364,8 @@ class TestBoundary:
              "member-scalar", "member-symbol", "nmax-above-cap", "normcalc-d-0",
              "normcalc-d-negative", "localizer-order-above-cap",
              "tinv-localizer-order-above-cap", "normcalc-mprime-above-cap",
-             "window-floor-below-cap"],
+             "window-floor-below-cap", "levelmap-mprime-above-cap",
+             "stability-mprime-above-cap"],
     )
     def test_one_error_line_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -370,6 +386,7 @@ EXPRS = st.recursive(
     lambda inner: st.one_of(
         st.builds("({} {} {})".format, inner, st.sampled_from("+-*"), inner),
         st.builds("{}^{}".format, inner, st.sampled_from([-1, 0, 1, 2, 3])),
+        st.builds("Tinv({})".format, inner),
     ),
     max_leaves=4,
 )
@@ -382,11 +399,16 @@ COMMANDS = [
 
 class TestFuzz:
     @settings(max_examples=150, deadline=None)
-    @example(COMMANDS[0], 2, "Tinv(xi1,0,0)^2")
-    @example(COMMANDS[0], 2, "0^-1")
-    @given(st.sampled_from(COMMANDS), st.sampled_from([2, 3]), EXPRS)
-    def test_exit_code_without_traceback(self, command, p, expr):
+    @example(COMMANDS[0], 2, "Tinv(xi1,0,0)^2", "xi1")
+    @example(COMMANDS[0], 2, "0^-1", "xi1")
+    @example(COMMANDS[0], 2, "Tinv(Tinv(xi1,0,0))", "xi1")
+    @example(COMMANDS[0], 2, "Tinv(D1[0,1])", "xi1")
+    @example(COMMANDS[1], 2, "d1", "Tinv(Tinv(xi1,0,0))")
+    @given(st.sampled_from(COMMANDS), st.sampled_from([2, 3]), EXPRS, EXPRS)
+    def test_exit_code_without_traceback(self, command, p, expr, theta):
         argv = [command[0], "--p", str(p), "--expr", expr, *command[1:]]
+        if command[0] == "invert":
+            argv += ["--theta", theta]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:

@@ -144,6 +144,18 @@ class TestPresentation:
         L = convert_presentation(P, "left")
         assert P == L and hash(P) == hash(L)
 
+    def test_lift_is_exact_and_never_equal_to_a_diffop(self):
+        # a number or DiffOp lifts at floor -inf, on the operator's own side;
+        # a DiffOp and a MicroOp compare unequal both ways
+        d = DiffOp.dx(2, 0) * DiffOp.x(2, 0)
+        R = MicroOp(XI2, 0, 0, {((0,), 1): Poly.var()}, side="right", floor=-6)
+        lifted = R.lift(d)
+        assert lifted.side == "right" and lifted.floor == -math.inf
+        assert lifted == MicroOp.from_diffop(d, XI2, 0)
+        assert R.lift(3).terms == {((0,), 0): Poly.const(3)} and R.lift(3).floor == -math.inf
+        assert lifted != d and d != lifted
+        assert R + d == R + lifted
+
     def test_canonical_reduces_localizer_multiples(self):
         # (d^2) * T^-1 with T = d^2 canonicalizes to 1
         T = build_theta_tilde(XI2, 0, 1).op
@@ -217,6 +229,16 @@ class TestMultiply:
         prod = micro_multiply(dmic, L)
         x = MicroOp(XI2, 0, 0, {((0,), 0): Poly.var()}, floor=prod.floor)
         assert prod == x
+
+    @settings(max_examples=40, deadline=None)
+    @given(left_micro_pairs())
+    def test_right_presentations_multiply_through_the_left(self, pair):
+        # the product of the right images is right-presented and equals the
+        # product of their left conversions, which are A and B
+        A, B = pair
+        prod = micro_multiply(convert_presentation(A, "right"), convert_presentation(B, "right"))
+        assert prod.side == "right"
+        assert prod == micro_multiply(A, B)
 
     def test_associativity(self):
         rng = random.Random(17)

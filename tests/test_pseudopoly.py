@@ -156,6 +156,7 @@ class TestTermAlgebra:
         assert str(SymbolPoly(3, 0, 1, self.TERMS1)) == "-2 + x*xi + (-1 + x)*xi^3"
         assert str(SymbolPoly(3, 1, 1, self.TERMS1)) == "-2 + x*xi1[1] + (-1 + x)*xi1[3]"
         assert str(SymbolPoly.zero(2, 0)) == "0"
+        assert str(SymbolPoly(2, 0, 1, {(1,): -1, (2,): 1})) == "-xi + xi^2"
 
     def test_symbol_rendering_names_coordinates_like_operators(self):
         # at d >= 2 the coordinate is 1-based and kept apart from the level,
@@ -171,6 +172,8 @@ class TestTermAlgebra:
             (DiffOp(2, 1, 2, self.TERMS2),
              "3 + 1/2*x1*D2[1,1] - x2*D1[1,2] + (1 + x1)*D1[1,1]*D2[1,2]"),
             (DiffOp(3, 1, 1, self.TERMS1), "-2 + x1*D1[1,1] + (-1 + x1)*D1[1,3]"),
+            # a -1 coefficient prints as a sign, as in Poly
+            (DiffOp(2, 0, 1, {(0,): Poly.var(), (2,): -1}), "x1 - d1^2"),
         ]:
             assert render_diffop(P) == str(P) == repr(P) == text
 

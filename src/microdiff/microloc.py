@@ -50,7 +50,7 @@ class MicroOp(TermSum):
 
     __slots__ = (
         "p", "level", "mprime", "theta", "side", "d",
-        "terms", "floor", "laurent",
+        "terms", "floor", "laurent", "n", "localizer_order", "_localizer",
     )
 
     def __init__(
@@ -74,6 +74,9 @@ class MicroOp(TermSum):
         self.d = theta.d
         self.floor = floor
         self.laurent = laurent
+        self.n = theta.degree()
+        self.localizer_order = self.n * self.p**mprime
+        self._localizer = build_theta_tilde(theta, level, mprime)
         self._set_terms(terms)
 
     def _key(self, key):
@@ -87,23 +90,22 @@ class MicroOp(TermSum):
 
     # -- basics -----------------------------------------------------------
 
-    @property
-    def n(self):
-        return self.theta.degree()
-
-    @property
-    def localizer_order(self):
-        return self.n * self.p**self.mprime
-
     def localizer(self) -> ThetaTilde:
-        return build_theta_tilde(self.theta, self.level, self.mprime)
+        return self._localizer
 
     def _meta(self):
         return (self.p, self.level, self.mprime, self.theta, self.side, self.d)
 
     def with_terms(self, terms, floor=None):
-        floor = self.floor if floor is None else floor
-        return MicroOp(self.theta, self.level, self.mprime, terms, self.side, floor, self.laurent)
+        """Terms on this operator's localizer, side and chart: the theta
+        checked by the constructor is not checked again, the terms are."""
+        new = MicroOp.__new__(MicroOp)
+        new.p, new.level, new.mprime, new.theta, new.side, new.d = self._meta()
+        new.laurent, new.n = self.laurent, self.n
+        new.localizer_order, new._localizer = self.localizer_order, self._localizer
+        new.floor = self.floor if floor is None else floor
+        new._set_terms(terms)
+        return new
 
     @classmethod
     def from_diffop(cls, P: DiffOp, theta: SymbolPoly, mprime: int, floor=-INF, laurent=False):
@@ -126,14 +128,12 @@ class MicroOp(TermSum):
     def order(self):
         if not self.terms:
             return -INF
-        return max(term_order(k, i, self.n, self.p, self.mprime) for k, i in self.terms)
+        korder = self.localizer_order
+        return max(sum(k) - i * korder for k, i in self.terms)
 
     def order_part(self, N0):
-        return {
-            (k, i): c
-            for (k, i), c in self.terms.items()
-            if term_order(k, i, self.n, self.p, self.mprime) == N0
-        }
+        korder = self.localizer_order
+        return {(k, i): c for (k, i), c in self.terms.items() if sum(k) - i * korder == N0}
 
     def truncate(self, floor) -> "MicroOp":
         return self.with_terms(self.terms, floor=max(floor, self.floor))
@@ -141,6 +141,8 @@ class MicroOp(TermSum):
     # -- additive structure -------------------------------------------------
 
     def _check(self, other: "MicroOp"):
+        if not isinstance(other, MicroOp):
+            raise IncompatibleLocalizer(f"cannot combine a MicroOp with a {type(other).__name__}")
         if self._meta() != other._meta():
             raise IncompatibleLocalizer(f"{self._meta()} vs {other._meta()}")
 
@@ -172,34 +174,44 @@ class MicroOp(TermSum):
         """Divide each bucket's top symbol by the localizer symbol as far as
         possible, moving quotients to lower denominator powers.  Deterministic;
         makes T * T^(-1) literally 1."""
-        if self.side != "left":
+        if self.side != "left" or not self.terms:
             return self  # canonical form defined on left presentations
-        T = self.localizer().op
-        sT = T.symbol_exact()
-        if len(sT.terms) != 1:
-            return self
-        ((kT, cT),) = sT.terms.items()
-        buckets = self.buckets()
-        if not buckets:
-            return self
+        T = self._localizer.op
+        if len(T.terms) != 1 or not next(iter(T.terms.values())).is_constant():
+            return _canonical_by_division(self)
+        ((K, c),) = T.terms.items()
+        # T = c*D^<m><K> with c constant: D^J(c) = 0 for J != 0, so h*T is
+        # exactly the top part it removes, and each divisible top term b
+        # moves down one power of T as b / (c * <k-K, K>) at k - K; off the
+        # Laurent chart, a b with a negative x-exponent is not divisible
+        c = c.constant_term()
+        buckets = {}
+        for (k, i), b in self.terms.items():
+            buckets.setdefault(i, {})[k] = b
         for i in range(max(buckets), 0, -1):
             B = buckets.get(i)
             if B is None:
                 continue
-            while not B.is_zero():
-                h = _divide_symbol_top(B, kT, cT, self.p, self.level, self.d, self.laurent)
-                if h is None:
+            while B:
+                n = max(sum(k) for k in B)
+                top = [k for k in B if sum(k) == n]
+                if any(a < t for k in top for a, t in zip(k, K)) or (
+                    not self.laurent and any(B[k].is_laurent() for k in top)
+                ):
                     break
-                B = B - h * T
-                lower = buckets.get(i - 1, DiffOp.zero(self.p, self.level, self.d)) + h
-                buckets[i - 1] = lower
-            if B.is_zero():
-                buckets.pop(i, None)
-            else:
-                buckets[i] = B
-        return self.with_terms(
-            {(k, i): c for i, op in buckets.items() for k, c in op.terms.items()}
-        )
+                lower = buckets.setdefault(i - 1, {})
+                for k in top:
+                    kq = tuple(a - t for a, t in zip(k, K))
+                    const = binomial_structure_constant_exact(self.p, self.level, kq, K)
+                    q = B.pop(k).scale(1 / (c * const))
+                    q = lower[kq] + q if kq in lower else q
+                    if q.is_zero():
+                        del lower[kq]
+                    else:
+                        lower[kq] = q
+            if not B:
+                del buckets[i]
+        return self.with_terms({(k, i): b for i, B in buckets.items() for k, b in B.items()})
 
     def _left_canonical(self) -> "MicroOp":
         """Canonical form of the left image: one per element, whichever
@@ -288,6 +300,34 @@ def _poly_json(c: Poly):
 
 def _poly_unjson(data, d):
     return Poly(d, {tuple(e): Fraction(v) for e, v in data})
+
+
+def _canonical_by_division(P: MicroOp) -> MicroOp:
+    """P.canonical() for a localizer T whose top symbol is one term: h, the
+    quotient of a bucket's top symbol by sigma(T), moves down one power of
+    T, and the Leibniz product h*T leaves the bucket."""
+    T = P.localizer().op
+    sT = T.symbol_exact()
+    if len(sT.terms) != 1 or P.is_zero():
+        return P
+    ((kT, cT),) = sT.terms.items()
+    buckets = P.buckets()
+    for i in range(max(buckets), 0, -1):
+        B = buckets.get(i)
+        if B is None:
+            continue
+        while not B.is_zero():
+            h = _divide_symbol_top(B, kT, cT, P.p, P.level, P.d, P.laurent)
+            if h is None:
+                break
+            B = B - h * T
+            lower = buckets.get(i - 1, DiffOp.zero(P.p, P.level, P.d)) + h
+            buckets[i - 1] = lower
+        if B.is_zero():
+            buckets.pop(i, None)
+        else:
+            buckets[i] = B
+    return P.with_terms({(k, i): c for i, op in buckets.items() for k, c in op.terms.items()})
 
 
 def _divide_symbol_top(B: DiffOp, kT, cT: Poly, p, m, d, laurent):

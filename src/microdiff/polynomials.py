@@ -39,9 +39,12 @@ class Poly:
         self.nvars = nvars
         clean = {}
         for exp, c in (coeffs or {}).items():
-            c = Fraction(c)
+            # a Fraction and a tuple of ints are taken as they are
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
-                exp = tuple(int(e) for e in exp)
+                if type(exp) is not tuple or not all(type(e) is int for e in exp):
+                    exp = tuple(int(e) for e in exp)
                 if len(exp) != nvars:
                     raise ValueError("exponent arity mismatch")
                 clean[exp] = c

@@ -216,6 +216,11 @@ class TermAlgebra(TermSum):
                 f"(p,m,d)={(self.p, self.m, self.d)} vs {(other.p, other.m, other.d)}"
             )
 
+    def __add__(self, other):
+        if isinstance(other, TermSum) and not isinstance(other, TermAlgebra):
+            return NotImplemented  # a MicroOp, which lifts this one in __radd__
+        return TermSum.__add__(self, other)
+
     def lift(self, c):
         """A number c as an element like this one; any other value as it is."""
         if isinstance(c, (int, Fraction)):

@@ -8,9 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microdiff.diffop import DiffOp, build_theta_tilde
-from microdiff.errors import NotInvertibleAtSymbol, SearchBoundExceeded, SymbolMismatch
+from microdiff.errors import (
+    IncompatibleLocalizer,
+    NotInvertibleAtSymbol,
+    SearchBoundExceeded,
+    SymbolMismatch,
+)
 from microdiff.microloc import (
     MicroOp,
+    _canonical_by_division,
     alpha_bound,
     change_presentation_level,
     convert_presentation,
@@ -65,6 +71,30 @@ def left_micro_pairs(draw):
     ]
 
 
+@st.composite
+def reindexable_micro(draw):
+    """A left MicroOp whose localizer is one term c*D^<m><K> with c a
+    constant (theta = xi_j, 2*xi_j or -3*xi_j in d = 1 or 2 coordinates):
+    p = 2 or 3, 0 <= m <= m' <= 2, up to four terms with each k_j <=
+    2*korder + 2 and i <= 3, coefficients with x-exponents in -1..3, a
+    floor in -8..0 or -inf, on either chart."""
+    p = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(0, 2))
+    mp = draw(st.integers(m, 2))
+    d = draw(st.integers(1, 2))
+    xi = SymbolPoly.xi(p, 0, 1, draw(st.integers(0, d - 1)), d)
+    theta = xi.scale(draw(st.sampled_from([1, 2, -3])))
+    laurent = draw(st.booleans())
+    floor = draw(st.sampled_from([-math.inf, *range(-8, 1)]))
+    korder = p**mp
+    exps = st.tuples(*[st.integers(-1, 3)] * d)
+    polys = st.dictionaries(exps, st.integers(-4, 4), max_size=3).map(lambda c: Poly(d, c))
+    ks = st.tuples(*[st.integers(0, 2 * korder + 2)] * d)
+    keys = st.tuples(ks, st.integers(0, 3))
+    terms = draw(st.dictionaries(keys, polys, max_size=4))
+    return MicroOp(theta, m, mp, terms, floor=floor, laurent=laurent)
+
+
 def nonzero(buckets):
     return {i: B for i, B in buckets.items() if not B.is_zero()}
 
@@ -86,6 +116,34 @@ class TestAdditiveStructure:
         assert A.p_valuation() == min((D.p_valuation() for D in a.values()), default=math.inf)
         assert A.is_zero() == (not a)
         assert A.is_integral() == all(D.is_integral() for D in a.values())
+
+    def test_mixed_sums_lift_a_diffop_and_refuse_a_symbol(self):
+        # a DiffOp is lifted onto the MicroOp's localizer in either order; a
+        # symbol never combines with a MicroOp, in either order
+        A = MicroOp(XI2, 0, 0, {((0,), 0): 1, ((0,), 1): Poly.var()}, floor=-6)
+        D, xi = DiffOp.dx(2, 0), SymbolPoly.xi(2, 0)
+        assert D + A == A + D == A + A.lift(D)
+        assert D - A == -(A - D) == A.lift(D) - A
+        for combine in (lambda: A + xi, lambda: xi + A, lambda: A - xi, lambda: xi - A):
+            with pytest.raises(IncompatibleLocalizer, match="SymbolPoly"):
+                combine()
+
+    @settings(max_examples=100, deadline=None)
+    @given(left_micro_pairs(), st.sampled_from([None, -math.inf, -4, 0]))
+    def test_with_terms_keeps_the_localizer_and_the_floor(self, pair, floor):
+        # with_terms shares its operand's localizer data and checks the
+        # terms as the constructor does, floor filter included
+        A, B = pair
+        C = A.with_terms(B.terms, floor=floor)
+        want = MicroOp(A.theta, A.level, A.mprime, B.terms, A.side,
+                       A.floor if floor is None else floor, A.laurent)
+        assert (C.n, C.localizer_order) == (A.n, A.localizer_order)
+        assert C.localizer() is A.localizer()
+        assert C.localizer() == build_theta_tilde(A.theta, A.level, A.mprime)
+        assert (C.terms, C.floor, C._meta(), C.laurent) == (
+            want.terms, want.floor, want._meta(), want.laurent)
+        with pytest.raises(ValueError):
+            A.with_terms({((0,), -1): 1})
 
     @pytest.mark.parametrize("key", [((-1,), 0), ((1, 0), 0), ((0,), -1)],
                              ids=["negative-exponent", "wrong-length", "negative-power"])
@@ -162,6 +220,30 @@ class TestPresentation:
         P = MicroOp(XI2, 0, 1, {((2,), 1): 1})
         assert P.canonical().terms == {((0,), 0): Poly.const(1)}
         assert P == MicroOp.one(XI2, 0, 1)
+
+
+class TestCanonical:
+    """A one-term localizer c*D^<m><K> with c constant is divided by
+    re-indexing; the division loop, which every other localizer takes, is
+    the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reindexable_micro())
+    def test_reindexing_matches_the_division_loop(self, P):
+        T = P.localizer().op
+        assert len(T.terms) == 1 and next(iter(T.terms.values())).is_constant()
+        fast, slow = P.canonical(), _canonical_by_division(P)
+        assert fast.terms == slow.terms
+        assert list(fast.terms) == list(slow.terms)  # same order, same outputs
+        assert fast.floor == slow.floor == P.floor
+
+    @pytest.mark.parametrize("coeff", [Poly.var(power=2), Poly.from_univariate([1, 1])],
+                             ids=["x^2", "1+x"])
+    def test_other_localizers_take_the_division_loop(self, coeff):
+        # T = a(x)*d at p = 2, m = m' = 0, so a(x)*d*T^-1 is 1
+        theta = SymbolPoly(2, 0, 1, {(1,): coeff})
+        P = MicroOp(theta, 0, 0, {((1,), 1): coeff, ((0,), 2): 1}, floor=-6)
+        assert P.canonical().terms == {((0,), 0): Poly.const(1), ((0,), 2): Poly.const(1)}
 
 
 class TestOneLocalizer:

@@ -12,6 +12,7 @@ come from explicit inversion attempts in the microlocalized ring and are
 cross-checked against the variety where both sides carry clean certificates.
 """
 
+from collections import deque
 from fractions import Fraction
 
 from .errors import BoundsExhausted, InvalidParameter, LevelMismatch, SymbolMismatch
@@ -110,9 +111,11 @@ def _frac_mod(c: Fraction, p: int) -> int:
     return c.numerator * pow(c.denominator, -1, p) % p
 
 
-def _ecart(g: DiffOp, n: int, f: Poly):
-    """How far the operator exceeds its own mod-p leading term (Mora)."""
-    return (g.order() - n, g.max_xdeg() - f.degree())
+def _reducer(g: DiffOp, ng: int, fg: Poly):
+    """(g, ng, fg, deg fg, ecart): what the reducer scan reads of g, once.
+    The ecart measures how far g exceeds its own mod-p leading term (Mora)."""
+    deg = fg.degree()
+    return g, ng, fg, deg, (g.order() - ng, g.max_xdeg() - deg)
 
 
 def _shifted(g: DiffOp, ng: int, fg: Poly, n: int, deg: int):
@@ -139,8 +142,25 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
     p = P.p
     steps = 0
     divisions = 0  # cumulative p-content cleared; capped by the precision
+    reducers = [_reducer(g, ng, fg) for g, (ng, fg) in basis]
     extra = []  # intermediate remainders, all in the (saturated) ideal
     seen = {}  # exact state -> divisions count when first seen
+    units = {}  # (n - ng, ng) -> is the structure constant a p-adic unit
+
+    def best(pool, n, deg):
+        """The fitting reducer of least ecart, the first among equals."""
+        fits = []
+        for r in pool:
+            _, ng, _, deg_fg, _ = r
+            if ng <= n and deg_fg <= deg:
+                unit = units.get((n - ng, ng))
+                if unit is None:
+                    c = binomial_structure_constant_exact(p, P.m, (n - ng,), (ng,))
+                    unit = units[n - ng, ng] = valuation(c, p) == 0
+                if unit:
+                    fits.append(r)
+        return min(fits, key=lambda r: r[4], default=None)  # r[4]: the ecart
+
     while not P.is_zero():
         v = P.p_valuation()
         if v:
@@ -160,25 +180,16 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
         if seen.get(key) == divisions:
             raise BoundsExhausted("reduction cycled without p-adic progress")
         seen[key] = divisions
-        lead = _mod_p_leading(P)
-        n, f = lead
-        candidates = [
-            (g, ng, fg, prio)
-            for prio, pool in ((0, basis), (1, extra))
-            for g, (ng, fg) in pool
-            if ng <= n
-            and fg.degree() <= f.degree()
-            and valuation(binomial_structure_constant_exact(p, P.m, (n - ng,), (ng,)), p) == 0
-        ]
-        if not candidates:
+        n, f = _mod_p_leading(P)
+        # the basis takes precedence over the intermediates
+        pick = best(reducers, n, f.degree()) or best(extra, n, f.degree())
+        if pick is None:
             return P
-        g, ng, fg, _ = min(
-            candidates, key=lambda c: (c[3], _ecart(c[0], c[1], c[2]))
-        )
+        g, ng, fg, _, _ = pick
         # every intermediate may serve as a reducer later (Mora's trick);
         # p-content division can revisit a leading term, and the stored copy
         # then cancels it exactly instead of cycling
-        extra.append((P, (n, f)))
+        extra.append(_reducer(P, n, f))
         red, u = _shifted(g, ng, fg, n, f.degree())
         lam = _frac_mod(_lc(f), p) * pow(u, -1, p) % p
         # both mod-p lifts of the cancellation factor kill the leading term;
@@ -215,7 +226,7 @@ def order_standard_basis(M: CyclicModule, bounds: Bounds = Bounds()) -> OrderSta
 
     complete = True
     checked = 0
-    queue = []
+    queue = deque()
 
     def queue_pairs_for(idx):
         g, (ng, fg) = basis[idx]
@@ -232,7 +243,7 @@ def order_standard_basis(M: CyclicModule, bounds: Bounds = Bounds()) -> OrderSta
 
     seen = set()
     while queue:
-        item = queue.pop(0)
+        item = queue.popleft()
         if item in seen:
             continue
         seen.add(item)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import ExprSyntaxError, InvalidParameter, MicrodiffError
 from .padic import check_prime_and_level, normcalc_bounds
 from .polynomials import Poly
-from .pseudopoly import SymbolPoly, TermAlgebra
+from .pseudopoly import MIN_WINDOW_FLOOR, SymbolPoly, TermAlgebra
 from .diffop import DiffOp, level_map_phi, order_and_symbol
 # microloc is imported where a value needs it: a Tinv atom, the psi, invert
 # and member commands; a command without one never loads it
@@ -44,10 +44,6 @@ MAX_NESTING = 100
 # 0.3 s of CPU on one Xeon core, and each doubling of the exponent costs 7 to
 # 10 times more.
 MAX_EXPONENT = 32
-
-# No --window-floor lies below this: `invert --p 2 --expr "d1 - x1" --mprime 0`
-# took 1.8 s of CPU at -32, 4.7 s at -48 and 33 s at -96, on one Xeon core.
-MIN_WINDOW_FLOOR = -32
 
 # Atom names: a generator with a 1-based coordinate, Tinv<w>, or the prime p.
 # xi<j> belongs to symbol expressions, d<j>, D<j>[m,k] and Tinv to operator

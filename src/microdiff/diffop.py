@@ -77,7 +77,8 @@ class DiffOp(TermAlgebra):
     level_shift = rational_level_change
 
     def to_plain(self) -> dict:
-        """The rational lift: dict k -> Poly with P = sum c_k(x) D^k."""
+        """The rational lift: dict k -> Poly with P = sum c_k(x) D^k; at
+        level 0 it is ``self.terms`` itself, to be read only."""
         return level_changed(self.terms, self.p, self.m, 0)
 
     @classmethod

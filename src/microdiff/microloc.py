@@ -20,6 +20,7 @@ from fractions import Fraction
 from .diffop import DiffOp, ThetaTilde, build_theta_tilde
 from .errors import (
     IncompatibleLocalizer,
+    InvalidParameter,
     LevelMismatch,
     NotInvertibleAtSymbol,
     SearchBoundExceeded,
@@ -32,7 +33,13 @@ from .padic import (  # alpha_bound and normcalc_bounds are exported here too
     normcalc_bounds,
 )
 from .polynomials import Poly
-from .pseudopoly import SymbolPoly, TermSum, check_theta, rational_level_change
+from .pseudopoly import (
+    MIN_WINDOW_FLOOR,
+    SymbolPoly,
+    TermSum,
+    check_theta,
+    rational_level_change,
+)
 from .record import FrozenRecord
 
 INF = math.inf
@@ -559,6 +566,8 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
         raise SymbolMismatch("the zero operator is not invertible")
     if floor == -INF:
         raise ValueError("inversion requires a finite window floor")
+    if floor < MIN_WINDOW_FLOOR:
+        raise InvalidParameter(f"window floor {floor} below {MIN_WINDOW_FLOOR}")
     laurent = laurent or P.laurent
     korder = P.localizer_order
     w = P.order()
@@ -586,7 +595,12 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
         raise SymbolMismatch(f"leading coefficient {g} is not invertible on the chart")
     S0 = S0.scale(ginv)
     one = MicroOp.one(theta, P.level, mprime, floor=floor, laurent=laurent)
-    e = micro_multiply(P, S0) - one
+    if ginv.is_constant():
+        # a constant commutes with every D^<m><k> and T^(-i), so
+        # P*(ginv*S0) = ginv*(P*S0) term for term, with the same floor
+        e = R.scale(ginv) - one
+    else:  # a unit such as 1/x on the Laurent chart does not commute with P
+        e = micro_multiply(P, S0) - one
     # geometric series (1+e)^(-1) = sum (-e)^t down to the floor
     acc = one
     termop = one

@@ -25,7 +25,7 @@ from microdiff.cli import (
     parse_symbol,
 )
 from microdiff.diffop import DiffOp
-from microdiff.errors import ExprSyntaxError
+from microdiff.errors import ExprSyntaxError, InvalidParameter
 from microdiff.microloc import MicroOp
 from microdiff.pseudopoly import SymbolPoly
 
@@ -112,6 +112,11 @@ class TestParser:
         for text in ("2*(d1^3*Tinv(xi1,0,0))", "x1*(d1^3*Tinv(xi1,0,0))",
                      "(d1^3*Tinv(xi1,0,0))*2"):
             assert parse(text, s).floor == -3, text
+
+    def test_window_floor_cap(self):
+        with pytest.raises(InvalidParameter, match=r"^window floor -33 below -32$"):
+            Session(p=2, window_floor=-33)
+        assert Session(p=2, window_floor=-32).window_floor == -32
 
     def test_syntax_error_has_span(self):
         with pytest.raises(ExprSyntaxError) as exc:

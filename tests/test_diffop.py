@@ -20,9 +20,9 @@ from microdiff.errors import (
     NotIntegral,
     ZeroOperator,
 )
-from microdiff.padic import divided_lift
+from microdiff.padic import divided_lift, level_shift_constant
 from microdiff.polynomials import Poly
-from microdiff.pseudopoly import SymbolPoly, rational_level_change
+from microdiff.pseudopoly import SymbolPoly, level_changed, rational_level_change
 
 
 def ops_equal_via_action(P: DiffOp, Q: DiffOp, tmax=None) -> bool:
@@ -99,6 +99,18 @@ class TestDifferentialOracles:
             assert plain[k] == c.scale(math.prod(divided_lift(kj, P.p, P.m) for kj in k))
         assert DiffOp(P.p, 0, P.d, plain) == rational_level_change(P, 0)
         assert rational_level_change(DiffOp(P.p, 0, P.d, plain), P.m) == P
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator_pairs())
+    def test_level_change_to_the_same_level_is_the_identity(self, ops):
+        # the fast path of every level-0 product: each constant is q!/q! = 1
+        P, _ = ops
+        assert rational_level_change(P, P.m) == P
+        rescaled = {
+            k: c.scale(math.prod(level_shift_constant(kj, P.p, P.m, P.m) for kj in k))
+            for k, c in P.terms.items()
+        }
+        assert level_changed(P.terms, P.p, P.m, P.m) == rescaled
 
 
 class TestDefiningRelation:

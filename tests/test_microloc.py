@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from microdiff.diffop import DiffOp, build_theta_tilde
 from microdiff.errors import (
     IncompatibleLocalizer,
+    InvalidParameter,
     NotInvertibleAtSymbol,
     SearchBoundExceeded,
     SymbolMismatch,
@@ -93,6 +94,19 @@ def reindexable_micro(draw):
     keys = st.tuples(ks, st.integers(0, 3))
     terms = draw(st.dictionaries(keys, polys, max_size=4))
     return MicroOp(theta, m, mp, terms, floor=floor, laurent=laurent)
+
+
+NONZERO_CONSTANTS = [1, -1, 3, Fraction(-5, 2), Fraction(1, 3)]
+
+
+def assert_constant_factor_leaves_the_product(P, S, c):
+    """P*(c*S) == c*(P*S) term for term, in the same order, and floor for
+    floor, for c a number and for c a constant Poly (try_invert's form)."""
+    for const in (c, Poly.const(c, P.d)):
+        got, want = micro_multiply(P, S.scale(const)), micro_multiply(P, S).scale(const)
+        assert got.terms == want.terms
+        assert list(got.terms) == list(want.terms)
+        assert got.floor == want.floor
 
 
 def nonzero(buckets):
@@ -322,6 +336,23 @@ class TestMultiply:
         assert prod.side == "right"
         assert prod == micro_multiply(A, B)
 
+    @settings(max_examples=60, deadline=None)
+    @given(left_micro_pairs(), st.sampled_from(NONZERO_CONSTANTS))
+    def test_a_constant_factor_leaves_the_product(self, pair, c):
+        # try_invert reuses P*S0 for P*(c*S0) on this identity
+        assert_constant_factor_leaves_the_product(*pair, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(reindexable_micro(), st.sampled_from(NONZERO_CONSTANTS))
+    def test_a_constant_factor_leaves_the_product_on_both_charts(self, P, c):
+        try:
+            micro_multiply(P, P)
+        except SearchBoundExceeded:  # an exact floor and 1/x: ad_T never ends
+            with pytest.raises(SearchBoundExceeded):
+                micro_multiply(P, P.scale(c))
+            return
+        assert_constant_factor_leaves_the_product(P, P, c)
+
     def test_associativity(self):
         rng = random.Random(17)
         for _ in range(10):
@@ -409,6 +440,12 @@ class TestInversion:
         P = DiffOp(2, 0, 1, {(1,): Poly.from_univariate([1, 1])})  # (1+x) d
         with pytest.raises(SymbolMismatch):
             try_invert(P, XI2, 0, floor=-4)
+
+    def test_window_floor_cap(self):
+        with pytest.raises(InvalidParameter, match=r"^window floor -33 below -32$"):
+            try_invert(DiffOp.dx(2, 0), XI2, 0, floor=-33)
+        rep = try_invert(DiffOp.dx(2, 0), XI2, 0, floor=-32)
+        assert rep.ok and rep.inverse.terms == {((0,), 1): Poly.const(1)}
 
 
 class TestConvergence:

@@ -16,9 +16,9 @@ from collections import deque
 from fractions import Fraction
 
 from .errors import BoundsExhausted, InvalidParameter, LevelMismatch, SymbolMismatch
-from .padic import binomial_structure_constant_exact, check_prime_and_level, valuation
+from .padic import binomial_structure_constant_exact, check_prime_and_level, residue, valuation
 from .polynomials import Poly
-from .pseudopoly import digit_decomposition, SymbolPoly
+from .pseudopoly import SymbolPoly, check_window, digit_decomposition
 from .diffop import DiffOp, level_map_phi
 from .record import FrozenRecord, Record
 
@@ -106,11 +106,6 @@ def _lc(f: Poly) -> Fraction:
     return f.coeffs[(f.degree(),)]
 
 
-def _frac_mod(c: Fraction, p: int) -> int:
-    """Image of a p-adic unit rational in F_p."""
-    return c.numerator * pow(c.denominator, -1, p) % p
-
-
 def _reducer(g: DiffOp, ng: int, fg: Poly):
     """(g, ng, fg, deg fg, ecart): what the reducer scan reads of g, once.
     The ecart measures how far g exceeds its own mod-p leading term (Mora)."""
@@ -128,7 +123,7 @@ def _shifted(g: DiffOp, ng: int, fg: Poly, n: int, deg: int):
     if s:
         mono = DiffOp.x(p, m, power=s) * mono
     c = binomial_structure_constant_exact(p, m, (a,), (ng,))
-    return mono * g, _frac_mod(c * _lc(fg), p)
+    return mono * g, residue(c * _lc(fg), p)
 
 
 def _normal_form(P: DiffOp, basis, bounds: Bounds):
@@ -144,7 +139,7 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
     divisions = 0  # cumulative p-content cleared; capped by the precision
     reducers = [_reducer(g, ng, fg) for g, (ng, fg) in basis]
     extra = []  # intermediate remainders, all in the (saturated) ideal
-    seen = {}  # exact state -> divisions count when first seen
+    seen = {}  # operator -> divisions count when first seen
     units = {}  # (n - ng, ng) -> is the structure constant a p-adic unit
 
     def best(pool, n, deg):
@@ -176,10 +171,9 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
             )
         # a revisited state only makes progress if p-divisions accumulated in
         # between (the precision cap then bounds the total number of loops)
-        key = frozenset((k, tuple(sorted(c.coeffs.items()))) for k, c in P.terms.items())
-        if seen.get(key) == divisions:
+        if seen.get(P) == divisions:
             raise BoundsExhausted("reduction cycled without p-adic progress")
-        seen[key] = divisions
+        seen[P] = divisions
         n, f = _mod_p_leading(P)
         # the basis takes precedence over the intermediates
         pick = best(reducers, n, f.degree()) or best(extra, n, f.degree())
@@ -191,7 +185,7 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
         # then cancels it exactly instead of cycling
         extra.append(_reducer(P, n, f))
         red, u = _shifted(g, ng, fg, n, f.degree())
-        lam = _frac_mod(_lc(f), p) * pow(u, -1, p) % p
+        lam = residue(_lc(f) / u, p)
         # both mod-p lifts of the cancellation factor kill the leading term;
         # keep whichever leaves more p-content behind (exact zero preferred)
         P1 = P - red.scale(lam)
@@ -413,9 +407,14 @@ def micro_support_test(
     section; otherwise the bounded-window expansion is reported as
     diagnostic evidence only.  When the certified char_variety of M is
     supplied, the punctured parts at M's own level are cross-checked with it.
+
+    The window is a finite integer >= MIN_WINDOW_FLOOR (-32), as for
+    ``try_invert``; any other is refused with InvalidParameter, whether or
+    not M has relations to invert.
     """
     from .microloc import try_invert  # char and stability never load microloc
 
+    check_window(window)
     xi = SymbolPoly.xi(M.p, 0, 1)
     out = {"levels": {}, "crosscheck": None}
     for level in levels:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import ExprSyntaxError, InvalidParameter, MicrodiffError
 from .padic import check_prime_and_level, normcalc_bounds
 from .polynomials import Poly
-from .pseudopoly import MIN_WINDOW_FLOOR, SymbolPoly, TermAlgebra
+from .pseudopoly import SymbolPoly, TermAlgebra, check_window
 from .diffop import DiffOp, level_map_phi, order_and_symbol
 # microloc is imported where a value needs it: a Tinv atom, the psi, invert
 # and member commands; a command without one never loads it
@@ -283,8 +283,7 @@ class Session:
 
     def __init__(self, p, level=0, window_floor=-12, laurent=False):
         check_prime_and_level(p, level)
-        if window_floor < MIN_WINDOW_FLOOR:
-            raise InvalidParameter(f"window floor {window_floor} below {MIN_WINDOW_FLOOR}")
+        check_window(window_floor)
         self.p = p
         self.level = level
         self.window_floor = window_floor

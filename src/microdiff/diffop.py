@@ -22,7 +22,8 @@ from .errors import (
     SearchBoundExceeded,
     ZeroOperator,
 )
-from .polynomials import Poly
+from .padic import residue
+from .polynomials import Poly, render_terms
 from .pseudopoly import (
     SymbolPoly, TermAlgebra, level_changed, rational_level_change, theta_variants,
 )
@@ -195,11 +196,9 @@ def reduce_mod(P: DiffOp, i: int) -> DiffOp:
     if not P.is_integral():
         raise NotIntegral("operator has a p in a denominator")
     mod = P.p ** (i + 1)
-
-    def red(c: Fraction) -> Fraction:
-        return Fraction(c.numerator * pow(c.denominator, -1, mod) % mod)
-
-    return DiffOp(P.p, P.m, P.d, {k: c.map_coeffs(red) for k, c in P.terms.items()})
+    return DiffOp(P.p, P.m, P.d, {
+        k: c.map_coeffs(lambda a: Fraction(residue(a, mod))) for k, c in P.terms.items()
+    })
 
 
 class ThetaTilde(FrozenRecord):
@@ -249,8 +248,8 @@ def render_diffop(P: DiffOp) -> str:
         return f"d{j + 1}" if kj == 1 else f"d{j + 1}^{kj}"
 
     if P.d == 1:
-        return P.render(gen, lambda c: str(c).replace("x", "x1"))
-    return P.render(gen)
+        return render_terms(P.terms, gen, lambda c: str(c).replace("x", "x1"))
+    return render_terms(P.terms, gen)
 
 
 DiffOp.__str__ = DiffOp.__repr__ = render_diffop

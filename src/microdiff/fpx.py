@@ -15,6 +15,8 @@ first, with no trailing zeros; [] is the zero polynomial.
 import random
 from itertools import zip_longest
 
+from .padic import residue
+
 _X = [0, 1]
 
 
@@ -167,7 +169,7 @@ class Fpx:
         for (e,), a in f.coeffs.items():
             if e < 0:
                 raise ValueError("Laurent polynomial has no image in F_p[x]")
-            dense[e] = a.numerator * pow(a.denominator, -1, p)
+            dense[e] = residue(a, p)
         return cls(p, dense)
 
     def degree(self) -> int:

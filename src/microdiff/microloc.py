@@ -20,7 +20,6 @@ from fractions import Fraction
 from .diffop import DiffOp, ThetaTilde, build_theta_tilde
 from .errors import (
     IncompatibleLocalizer,
-    InvalidParameter,
     LevelMismatch,
     NotInvertibleAtSymbol,
     SearchBoundExceeded,
@@ -33,13 +32,7 @@ from .padic import (  # alpha_bound and normcalc_bounds are exported here too
     normcalc_bounds,
 )
 from .polynomials import Poly
-from .pseudopoly import (
-    MIN_WINDOW_FLOOR,
-    SymbolPoly,
-    TermSum,
-    check_theta,
-    rational_level_change,
-)
+from .pseudopoly import SymbolPoly, TermSum, check_window, rational_level_change
 from .record import FrozenRecord
 
 INF = math.inf
@@ -70,7 +63,8 @@ class MicroOp(TermSum):
         floor=-INF,
         laurent: bool = False,
     ):
-        check_theta(theta, level, mprime)
+        # theta_variants checks theta for build_theta_tilde, once per localizer
+        self._localizer = build_theta_tilde(theta, level, mprime)
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.p = theta.p
@@ -82,8 +76,7 @@ class MicroOp(TermSum):
         self.floor = floor
         self.laurent = laurent
         self.n = theta.degree()
-        self.localizer_order = self.n * self.p**mprime
-        self._localizer = build_theta_tilde(theta, level, mprime)
+        self.localizer_order = self._localizer.order
         self._set_terms(terms)
 
     def _key(self, key):
@@ -540,14 +533,11 @@ def invert_theta_tilde(theta: SymbolPoly, level: int, mprime: int, floor, lauren
     """The inverse of the theta-tilde localizer itself, as a single-term
     presentation; coefficient of theta must be a unit on the chart."""
     for c in theta.terms.values():
-        if c.is_constant():
-            continue
-        if laurent and len(c.coeffs) == 1:
-            continue
-        raise NotInvertibleAtSymbol(
-            f"theta coefficient {c} is not a unit on the chart"
-            + ("" if laurent else " (monomials need a monomial-unit chart)")
-        )
+        if not c.is_unit(laurent):
+            raise NotInvertibleAtSymbol(
+                f"theta coefficient {c} is not a unit on the chart"
+                + ("" if laurent else " (monomials need a monomial-unit chart)")
+            )
     return MicroOp(theta, level, mprime, {((0,) * theta.d, 1): 1}, "left", floor, laurent)
 
 
@@ -556,6 +546,9 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
 
     P may be a DiffOp or a left-presented MicroOp.  sigma(P) must be a single
     monomial with unit coefficient on the chart; otherwise SymbolMismatch.
+    The window floor must be a finite integer >= MIN_WINDOW_FLOOR (-32);
+    any other is refused with InvalidParameter (``check_window``).  The
+    floors of the products inside may drift lower.
     Success returns a two-sided inverse plus residual certificates; an
     unbounded convergence profile is reported as a failed verdict with the
     partial expansion attached (evidence, not proof).
@@ -564,10 +557,7 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
         P = MicroOp.from_diffop(P, theta, mprime, laurent=laurent)
     if P.is_zero():
         raise SymbolMismatch("the zero operator is not invertible")
-    if floor == -INF:
-        raise ValueError("inversion requires a finite window floor")
-    if floor < MIN_WINDOW_FLOOR:
-        raise InvalidParameter(f"window floor {floor} below {MIN_WINDOW_FLOOR}")
+    check_window(floor)
     laurent = laurent or P.laurent
     korder = P.localizer_order
     w = P.order()
@@ -576,7 +566,7 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
         raise SymbolMismatch("top symbol is not a single monomial")
     ((k0, i0r),) = top.keys()
     c0 = top[(k0, i0r)]
-    if not (c0.is_constant() or (laurent and len(c0.coeffs) == 1)):
+    if not c0.is_unit(laurent):
         raise SymbolMismatch(f"top coefficient {c0} is not a unit on the chart")
     if P.d != 1:
         raise SymbolMismatch("inversion is implemented for d = 1")

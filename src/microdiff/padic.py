@@ -53,6 +53,12 @@ def valuation(x, p: int):
     return v
 
 
+def residue(c, modulus: int) -> int:
+    """The residue in [0, modulus) of an integer or Fraction c whose
+    denominator is prime to the modulus; ValueError otherwise."""
+    return c.numerator * pow(c.denominator, -1, modulus) % modulus
+
+
 def factorial_valuation(p: int, n: int) -> int:
     """v_p(n!) by Legendre's formula."""
     if n < 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .padic import valuation
+from .padic import residue, valuation
 
 INF = math.inf
 
@@ -28,6 +28,28 @@ def power(base, n: int, one):
         if n:
             base = base * base
     return out
+
+
+def render_terms(terms: dict, gen, coeff=str) -> str:
+    """The sum of terms, a dict from exponent tuples e to coefficients c, by
+    (degree, e): each term coeff(c)*gen(j, e_j)*... over e_j != 0, with a
+    coefficient 1 or -1 folded into the sign and a sum parenthesized."""
+    if not terms:
+        return "0"
+    parts = []
+    for e in sorted(terms, key=lambda e: (sum(e), e)):
+        mono = "*".join(gen(j, ej) for j, ej in enumerate(e) if ej)
+        cs = coeff(terms[e])
+        if not mono:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append(f"-{mono}")
+        else:
+            cs = f"({cs})" if ("+" in cs or "-" in cs[1:]) else cs
+            parts.append(f"{cs}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 class Poly:
@@ -81,6 +103,11 @@ class Poly:
 
     def constant_term(self) -> Fraction:
         return self.coeffs.get((0,) * self.nvars, Fraction(0))
+
+    def is_unit(self, laurent: bool = False) -> bool:
+        """A unit on the chart: a nonzero constant, or any monomial on the
+        Laurent chart, where every coordinate is inverted."""
+        return len(self.coeffs) == 1 and (laurent or self.is_constant())
 
     def is_laurent(self) -> bool:
         """True if some exponent is negative."""
@@ -155,15 +182,8 @@ class Poly:
         return Poly(self.nvars, {e: f(c) for e, c in self.coeffs.items()})
 
     def mod_p(self, p: int) -> "Poly":
-        """Reduce integral coefficients mod p; error on a p in a denominator."""
-
-        def red(c):
-            if valuation(c, p) < 0:
-                raise ValueError("coefficient not p-integral")
-            num = c.numerator * pow(c.denominator, -1, p)
-            return Fraction(num % p)
-
-        return self.map_coeffs(red)
+        """Reduce integral coefficients mod p; ValueError on a p in a denominator."""
+        return self.map_coeffs(lambda c: Fraction(residue(c, p)))
 
     def divide_exact(self, other: "Poly", laurent: bool = False):
         """Exact quotient self/other, or None.
@@ -217,22 +237,7 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         names = ["x"] if self.nvars == 1 else [f"x{j + 1}" for j in range(self.nvars)]
-        parts = []
-        for exp in sorted(self.coeffs, key=lambda e: (sum(e), e)):
-            c = self.coeffs[exp]
-            mono = "*".join(
-                n if e == 1 else f"{n}^{e}" for n, e in zip(names, exp) if e
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        return render_terms(
+            self.coeffs, lambda j, e: names[j] if e == 1 else f"{names[j]}^{e}"
+        )

@@ -30,7 +30,7 @@ from .padic import (
     level_shift_constant,
     valuation,
 )
-from .polynomials import Poly, power
+from .polynomials import Poly, power, render_terms
 
 INF = math.inf
 
@@ -42,6 +42,16 @@ MAX_LOCALIZER_ORDER = 2**14
 # No window floor lies below this: `invert --p 2 --expr "d1 - x1" --mprime 0`
 # took 1.8 s of CPU at -32, 4.7 s at -48 and 33 s at -96, on one Xeon core.
 MIN_WINDOW_FLOOR = -32
+
+
+def check_window(floor):
+    """Reject a requested window floor that is not a finite integer >=
+    MIN_WINDOW_FLOOR.  Only a request is checked: a MicroOp floor may drift
+    lower inside products, and -inf there means exact."""
+    if floor < MIN_WINDOW_FLOOR:
+        raise InvalidParameter(f"window floor {floor} below {MIN_WINDOW_FLOOR}")
+    if not isinstance(floor, int):
+        raise InvalidParameter(f"window floor {floor} is not a finite integer")
 
 
 def digit_decomposition(k: int, p: int, m: int):
@@ -245,27 +255,6 @@ class TermAlgebra(TermSum):
     def __hash__(self):
         return hash((self.p, self.m, self.d, frozenset(self.terms.items())))
 
-    # -- rendering ----------------------------------------------------------
-
-    def render(self, gen, coeff=str) -> str:
-        """Terms by (degree, k), each coeff(c)*gen(j, k_j)*... over k_j != 0."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms, key=lambda e: (sum(e), e)):
-            mono = "*".join(gen(j, kj) for j, kj in enumerate(k) if kj)
-            cs = coeff(self.terms[k])
-            if not mono:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                cs = f"({cs})" if ("+" in cs or "-" in cs[1:]) else cs
-                parts.append(f"{cs}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 class SymbolPoly(TermAlgebra):
     """Element of the level-m pseudo-polynomial algebra in d variables:
@@ -315,7 +304,7 @@ class SymbolPoly(TermAlgebra):
         return f"xi{j + 1}^{kj}" if kj > 1 else f"xi{j + 1}"
 
     def __str__(self):
-        return self.render(self._gen)
+        return render_terms(self.terms, self._gen)
 
     __repr__ = __str__
 
@@ -390,20 +379,14 @@ def theta_variants(theta: SymbolPoly, m: int, mprime: int):
     """
     check_theta(theta, m, mprime)
     p, d = theta.p, theta.d
-    q = p**mprime
-    j = mprime - m
-    hi = SymbolPoly.zero(p, mprime, d)
-    lo = SymbolPoly.zero(p, m, d)
-    for k, a in theta.terms.items():
-        twisted = a**q
-        # monomials are powers of the single generator xi_j^<level><p^level>
-        hi_mono = SymbolPoly.one(p, mprime, d)
-        lo_mono = SymbolPoly.one(p, m, d)
-        for coord, kj in enumerate(k):
-            if kj:
-                hi_mono = hi_mono * SymbolPoly.xi(p, mprime, q, coord, d) ** kj
-                lo_mono = lo_mono * SymbolPoly.xi(p, m, p**m, coord, d) ** (kj * p**j)
-        hi = hi + hi_mono.scale(twisted)
-        lo = lo + lo_mono.scale(twisted)
+    q, j = p**mprime, mprime - m
+    # each term a*xi^k is a power of xi_c^<l><p^l> per coordinate c: the top
+    # digit kj at level m', kj*p^j at level m
+    twisted = [(k, a**q) for k, a in theta.terms.items()]
+    hi = normalize(p, mprime, d, {
+        tuple((0,) * mprime + (kj,) for kj in k): a for k, a in twisted
+    })
+    lo = normalize(p, m, d, {
+        tuple((0,) * m + (kj * p**j,) for kj in k): a for k, a in twisted
+    })
     return hi, lo
-

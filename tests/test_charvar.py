@@ -1,5 +1,6 @@
 """Characteristic varieties, support tests, and the counterexample suite."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,18 @@ class TestCharVariety:
         assert info["char_class"] == "point-set"
         assert info["points"] == ["x"] and info["fibers"] == []
 
+    def test_points_and_fibers_classification(self):
+        # x*(x + 1) cuts the fibers above x and x + 1; (x + 1)*Xi vanishes on
+        # the whole fiber above x + 1 but only at Xi = 0 above x
+        from microdiff.charvar import _classify
+        from microdiff.fpx import Fpx
+
+        gens = [(0, Fpx(2, [0, 1, 1])), (1, Fpx(2, [1, 1]))]  # x*(x + 1), (x + 1)*Xi
+        info = _classify(gens, 2)
+        assert info["char_class"] == "points-and-fibers"
+        assert info["fibers"] == ["x + 1"] and info["points"] == ["x"]
+        assert info["zero_section"] is False
+
     def test_punctured_part(self):
         cv = char_variety(module(2, 0, X(2) * D(2)))
         assert cv.punctured_part() == ["x"]
@@ -252,6 +265,22 @@ class TestMicroSupport:
             assert cv.complete
             rep = micro_support_test(M, [0], window=WINDOW, char=cv)
             assert rep["crosscheck"]["agree"] is True
+
+    @pytest.mark.parametrize("window", [-33, -1000, -math.inf, 2.5])
+    def test_window_is_checked_without_relations(self, window):
+        # a module with no relation never reaches try_invert, and its window
+        # is refused all the same
+        with pytest.raises(InvalidParameter, match="^window floor "):
+            micro_support_test(CyclicModule(2, 0, []), [0], window=window)
+        with pytest.raises(InvalidParameter, match="^window floor "):
+            micro_support_test(module(2, 0, D(2) - X(2)), [0], window=window)
+
+    def test_window_floor_message(self):
+        with pytest.raises(InvalidParameter, match=r"^window floor -inf below -32$"):
+            micro_support_test(CyclicModule(2, 0, []), [0], window=-math.inf)
+        assert micro_support_test(CyclicModule(2, 0, []), [0], window=-32) == {
+            "levels": {0: []}, "crosscheck": None,
+        }
 
     def test_inconclusive_crosscheck_when_no_inverse(self):
         M = module(2, 1, (D(2) - X(2)).level_shift(1))

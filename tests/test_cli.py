@@ -252,6 +252,22 @@ class TestCommands:
         }
         assert sorted(data["verdicts"]) == ["0", "1"]
 
+    def test_supp_non_unit_top_coefficient_persists(self, capsys):
+        # (1 + x) d has a top coefficient that is no unit on the chart, so
+        # try_invert refuses it and the generic verdict carries its reason
+        code, out, _ = run(
+            capsys, "supp", "--p", "2", "--rel", "(x1+1)*d1", "--window-floor", "-6", "--json",
+        )
+        assert code == EXIT_PARTIAL
+        data = json.loads(out)
+        assert data["verdicts"]["0"] == [
+            {"chart": "generic", "verdict": "PersistsUpToWindow",
+             "note": "top coefficient 1 + x is not a unit on the chart"},
+            {"chart": "fiber[x + 1]", "verdict": "PersistsUpToWindow",
+             "note": "leading symbol degenerates on this fiber"},
+        ]
+        assert data["crosscheck"]["agree"] is None
+
     def test_char_incomplete_exit_2(self, capsys):
         code, out, _ = run(
             capsys, "char", "--p", "2", "--rel", "d1^2 - x1", "--max-order", "1", "--json"

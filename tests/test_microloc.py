@@ -18,6 +18,7 @@ from microdiff.errors import (
 from microdiff.microloc import (
     MicroOp,
     _canonical_by_division,
+    _push,
     alpha_bound,
     change_presentation_level,
     convert_presentation,
@@ -447,6 +448,15 @@ class TestInversion:
         rep = try_invert(DiffOp.dx(2, 0), XI2, 0, floor=-32)
         assert rep.ok and rep.inverse.terms == {((0,), 1): Poly.const(1)}
 
+    @pytest.mark.parametrize("floor, message", [
+        (-math.inf, r"^window floor -inf below -32$"),
+        (math.inf, r"^window floor inf is not a finite integer$"),
+        (-4.0, r"^window floor -4.0 is not a finite integer$"),
+    ])
+    def test_window_floor_must_be_a_finite_integer(self, floor, message):
+        with pytest.raises(InvalidParameter, match=message):
+            try_invert(DiffOp.dx(2, 0), XI2, 0, floor=floor)
+
 
 class TestConvergence:
     def test_finite_integral_bounded(self):
@@ -593,6 +603,47 @@ class TestSerialization:
             assert back._meta() == P._meta()
             assert back.floor == P.floor
             assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+
+def push_in_one_pass(T, i, Q, floor, korder, signed):
+    """The binomial series of the commutation engine, for i >= 1:
+    T^(-i) Q = sum_s (-1)^s C(i+s-1, s) ad_T^s(Q) T^(-i-s) (signed) and
+    Q T^(-i) = sum_s C(i+s-1, s) T^(-i-s) ad_T^s(Q) (unsigned), each term
+    kept while the order of ad_T^s(Q) less (i+s)*korder reaches the floor;
+    ad_T lowers that order, so the first term below it ends the series."""
+    out = {}
+    c, s = Q, 0
+    while not c.is_zero() and c.order() - (i + s) * korder >= floor:
+        sign = -1 if signed and s % 2 else 1
+        out[i + s] = c.scale(sign * math.comb(i + s - 1, s))
+        c = T.commutator(c)
+        s += 1
+    return out
+
+
+class TestPushSeries:
+    """_push moves T^(-i) past Q one power of T at a time; the one-pass
+    binomial series gives the same dict."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_iterated_push_is_the_binomial_series(self, data):
+        p = data.draw(st.sampled_from([2, 3]))
+        m = data.draw(st.integers(0, 2))
+        mp = data.draw(st.integers(m, 2))
+        # theta = xi, or (1 + x)*xi, whose T does not commute with x
+        coeff = Poly.from_univariate([1, 1]) if mp <= 1 and data.draw(st.booleans()) else 1
+        T = build_theta_tilde(SymbolPoly(p, 0, 1, {(1,): coeff}), m, mp).op
+        polys = st.dictionaries(
+            st.tuples(st.integers(-1, 3)), st.integers(-4, 4), min_size=1, max_size=2
+        ).map(lambda c: Poly(1, c))
+        Q = DiffOp(p, m, 1, data.draw(st.dictionaries(
+            st.tuples(st.integers(0, 4)), polys, min_size=1, max_size=3)))
+        i = data.draw(st.integers(1, 4))
+        floor = data.draw(st.integers(-12, 2))
+        signed = data.draw(st.booleans())
+        got = _push(T, i, Q, floor, T.order(), signed, {})
+        assert got == push_in_one_pass(T, i, Q, floor, T.order(), signed)
 
 
 class TestOreWitness:

@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microdiff.errors import InvalidParameter
@@ -10,6 +11,7 @@ from microdiff.padic import (
     divided_lift,
     factorial_valuation,
     level_factorial_ratio_exact,
+    residue,
     valuation,
 )
 
@@ -29,6 +31,31 @@ class TestValuation:
         # p = 1 used to loop forever on `x % p == 0`
         with pytest.raises(InvalidParameter):
             valuation(3, p)
+
+
+class TestResidue:
+    """residue(c, p^k), the one rational residue of the package (Poly.mod_p,
+    reduce_mod, Fpx.from_poly and the standard basis read it), against
+    Fraction arithmetic: the r in [0, p^k) with (c - r)/p^k p-integral."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(1, 4),
+        st.integers(-10**6, 10**6),
+        st.integers(1, 10**4),
+    )
+    def test_matches_fraction_arithmetic(self, p, k, num, den):
+        if den % p == 0:
+            den += 1  # a p-unit denominator
+        c, mod = Fraction(num, den), p**k
+        want = next(r for r in range(mod) if valuation((c - r) / mod, p) >= 0)
+        assert residue(c, mod) == want
+        assert residue(num, mod) == num % mod
+
+    def test_p_in_the_denominator_raises(self):
+        with pytest.raises(ValueError):
+            residue(Fraction(1, 6), 9)
 
 
 class TestFactorialValuation:

@@ -49,3 +49,58 @@ class TestConstruction:
     def test_arity_mismatch_raises(self, exp, c):
         with pytest.raises(ValueError, match="arity"):
             Poly(1, ItemPairs([(exp, c)]))
+
+
+def term_loop_str(P: Poly) -> str:
+    """Poly.__str__ as its own loop wrote it before it shared the term
+    renderer of operators and symbols: the oracle of the fold."""
+    if not P.coeffs:
+        return "0"
+    names = ["x"] if P.nvars == 1 else [f"x{j + 1}" for j in range(P.nvars)]
+    parts = []
+    for exp in sorted(P.coeffs, key=lambda e: (sum(e), e)):
+        c = P.coeffs[exp]
+        mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exp) if e)
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+@st.composite
+def laurent_polys(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-3, 3)] * nvars)
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    return Poly(nvars, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+class TestRendering:
+    @settings(max_examples=200, deadline=None)
+    @given(laurent_polys())
+    def test_str_matches_the_term_loop(self, P):
+        assert str(P) == term_loop_str(P)
+
+    def test_frozen_strings(self):
+        x, y = Poly.var(0, 2), Poly.var(1, 2)
+        assert str(Poly.zero(2)) == "0"
+        assert str(x * y.scale(-1) + Poly.const(Fraction(1, 2), 2)) == "1/2 - x1*x2"
+        assert str(Poly(1, {(-1,): 3, (2,): -1})) == "3*x^-1 - x^2"
+
+
+class TestUnits:
+    @pytest.mark.parametrize("coeffs, plain, laurent", [
+        ({(0,): 3}, True, True),
+        ({(2,): -1}, False, True),
+        ({(-1,): Fraction(1, 2)}, False, True),
+        ({(0,): 1, (1,): 1}, False, False),
+        ({}, False, False),
+    ])
+    def test_unit_on_the_chart(self, coeffs, plain, laurent):
+        P = Poly(1, coeffs)
+        assert P.is_unit() is plain and P.is_unit(laurent=True) is laurent

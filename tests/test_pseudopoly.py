@@ -12,6 +12,7 @@ from microdiff.polynomials import Poly
 from microdiff.pseudopoly import (
     MAX_LOCALIZER_ORDER,
     SymbolPoly,
+    check_theta,
     digit_decomposition,
     digit_form,
     digit_monomial_constant,
@@ -295,6 +296,56 @@ class TestThetaVariants:
                 with pytest.raises(InvalidParameter, match="localizer order"):
                     build(xi, 0, mp)
         assert build_theta_tilde(xi, 0, 14).order == MAX_LOCALIZER_ORDER
+
+
+def theta_variants_by_powers(theta, m, mprime):
+    """theta_variants as its own power loop built it, before it went
+    through normalize: the oracle of the fold."""
+    check_theta(theta, m, mprime)
+    p, d = theta.p, theta.d
+    q = p**mprime
+    j = mprime - m
+    hi = SymbolPoly.zero(p, mprime, d)
+    lo = SymbolPoly.zero(p, m, d)
+    for k, a in theta.terms.items():
+        twisted = a**q
+        hi_mono = SymbolPoly.one(p, mprime, d)
+        lo_mono = SymbolPoly.one(p, m, d)
+        for coord, kj in enumerate(k):
+            if kj:
+                hi_mono = hi_mono * SymbolPoly.xi(p, mprime, q, coord, d) ** kj
+                lo_mono = lo_mono * SymbolPoly.xi(p, m, p**m, coord, d) ** (kj * p**j)
+        hi = hi + hi_mono.scale(twisted)
+        lo = lo + lo_mono.scale(twisted)
+    return hi, lo
+
+
+@st.composite
+def localizer_symbols(draw):
+    """(theta, m, m'): p in {2, 3, 5}, d in {1, 2}, 0 <= m <= m' <= 3, theta
+    homogeneous of degree 1 or 2 with up to three terms."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 2))
+    mprime = draw(st.integers(0, 3))
+    m = draw(st.integers(0, mprime))
+    ks = st.tuples(*[st.integers(0, n)] * d).filter(lambda k: sum(k) == n)
+    polys = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * d),
+        st.sampled_from([1, -1, 2, Fraction(1, 3)]), min_size=1, max_size=2,
+    ).map(lambda c: Poly(d, c))
+    return SymbolPoly(p, 0, d, draw(st.dictionaries(ks, polys, min_size=1, max_size=3))), m, mprime
+
+
+class TestThetaVariantsFold:
+    @settings(max_examples=60, deadline=None)
+    @given(localizer_symbols())
+    def test_same_terms_in_the_same_order_as_the_power_loop(self, case):
+        def flat(f):
+            return f.p, f.m, f.d, [(k, list(c.coeffs.items())) for k, c in f.terms.items()]
+
+        got, want = theta_variants(*case), theta_variants_by_powers(*case)
+        assert [flat(f) for f in got] == [flat(f) for f in want]
 
 
 class TestIsogenyBound:

@@ -38,10 +38,6 @@ from .record import FrozenRecord
 INF = math.inf
 
 
-def term_order(k, i, n, p, mprime):
-    return sum(k) - i * n * p**mprime
-
-
 class MicroOp(TermSum):
     """Microdifferential operator presented at level ``level`` with localizer
     theta-tilde at levels (level, mprime): ``terms`` maps (k, i) to the
@@ -171,46 +167,44 @@ class MicroOp(TermSum):
         return {i: DiffOp(self.p, self.level, self.d, terms) for i, terms in out.items()}
 
     def canonical(self) -> "MicroOp":
-        """Divide each bucket's top symbol by the localizer symbol as far as
-        possible, moving quotients to lower denominator powers.  Deterministic;
-        makes T * T^(-1) literally 1."""
-        if self.side != "left" or not self.terms:
-            return self  # canonical form defined on left presentations
+        """One form per element, which equality compares and in which
+        T * T^(-1) is literally 1: on a left presentation with a one-term
+        T = c*D^<m><K>, each bucket, from the highest power of T^(-1) down,
+        moves its top terms b at (k, i) to (k - K, i - 1) as h = b / (c *
+        <k-K, K>) while all of them divide, and sheds h*T: the top part and,
+        for c not a constant, the Leibniz tail in D^J(c), J != 0.  Any other
+        operator comes back as it is."""
         T = self._localizer.op
-        if len(T.terms) != 1 or not next(iter(T.terms.values())).is_constant():
-            return _canonical_by_division(self)
+        if self.side != "left" or not self.terms or len(T.terms) != 1:
+            return self
         ((K, c),) = T.terms.items()
-        # T = c*D^<m><K> with c constant: D^J(c) = 0 for J != 0, so h*T is
-        # exactly the top part it removes, and each divisible top term b
-        # moves down one power of T as b / (c * <k-K, K>) at k - K; off the
-        # Laurent chart, a b with a negative x-exponent is not divisible
-        c = c.constant_term()
+        p, m, laurent, has_tail = self.p, self.level, self.laurent, not c.is_constant()
         buckets = {}
         for (k, i), b in self.terms.items():
             buckets.setdefault(i, {})[k] = b
         for i in range(max(buckets), 0, -1):
-            B = buckets.get(i)
-            if B is None:
-                continue
+            B = buckets.get(i, {})
             while B:
                 n = max(sum(k) for k in B)
                 top = [k for k in B if sum(k) == n]
-                if any(a < t for k in top for a, t in zip(k, K)) or (
-                    not self.laurent and any(B[k].is_laurent() for k in top)
-                ):
+                kqs = [tuple(a - t for a, t in zip(k, K)) for k in top]
+                if any(e < 0 for kq in kqs for e in kq):
                     break
-                lower = buckets.setdefault(i - 1, {})
+                us = [binomial_structure_constant_exact(p, m, kq, K) for kq in kqs]
+                h = {kq: B[k].divide_exact(c.scale(u), laurent) for k, kq, u in zip(top, kqs, us)}
+                if any(q is None for q in h.values()):  # not divisible on the chart
+                    break
                 for k in top:
-                    kq = tuple(a - t for a, t in zip(k, K))
-                    const = binomial_structure_constant_exact(self.p, self.level, kq, K)
-                    q = B.pop(k).scale(1 / (c * const))
-                    q = lower[kq] + q if kq in lower else q
-                    if q.is_zero():
-                        del lower[kq]
-                    else:
-                        lower[kq] = q
+                    del B[k]
+                if has_tail:
+                    for k, v in (DiffOp(p, m, self.d, h) * T).terms.items():
+                        if sum(k) < n:
+                            _accumulate(B, k, -v)
+                lower = buckets.setdefault(i - 1, {})
+                for kq, q in h.items():
+                    _accumulate(lower, kq, q)
             if not B:
-                del buckets[i]
+                buckets.pop(i, None)
         return self.with_terms({(k, i): b for i, B in buckets.items() for k, b in B.items()})
 
     def _left_canonical(self) -> "MicroOp":
@@ -234,7 +228,9 @@ class MicroOp(TermSum):
     def __hash__(self):
         # __eq__ truncates at the higher floor, which can drop any term, so
         # only the localizer data that equality always compares is hashed;
-        # the side is left out, as either presentation of one element is equal
+        # the side is left out, as either presentation of one element is equal.
+        # Unlike a DiffOp, a scalar MicroOp cannot hash as its number: its
+        # zero equals 0 and its one equals 1, and both share this one hash
         return hash((self.p, self.level, self.mprime, self.theta, self.d))
 
     def __str__(self):
@@ -243,7 +239,7 @@ class MicroOp(TermSum):
         parts = []
         for (k, i) in sorted(
             self.terms,
-            key=lambda ki: (-term_order(ki[0], ki[1], self.n, self.p, self.mprime), ki[1], ki[0]),
+            key=lambda ki: (-(sum(ki[0]) - ki[1] * self.localizer_order), ki[1], ki[0]),
         ):
             c = self.terms[(k, i)]
             base = str(DiffOp(self.p, self.level, self.d, {k: c}))
@@ -302,48 +298,13 @@ def _poly_unjson(data, d):
     return Poly(d, {tuple(e): Fraction(v) for e, v in data})
 
 
-def _canonical_by_division(P: MicroOp) -> MicroOp:
-    """P.canonical() for a localizer T whose top symbol is one term: h, the
-    quotient of a bucket's top symbol by sigma(T), moves down one power of
-    T, and the Leibniz product h*T leaves the bucket."""
-    T = P.localizer().op
-    sT = T.symbol_exact()
-    if len(sT.terms) != 1 or P.is_zero():
-        return P
-    ((kT, cT),) = sT.terms.items()
-    buckets = P.buckets()
-    for i in range(max(buckets), 0, -1):
-        B = buckets.get(i)
-        if B is None:
-            continue
-        while not B.is_zero():
-            h = _divide_symbol_top(B, kT, cT, P.p, P.level, P.d, P.laurent)
-            if h is None:
-                break
-            B = B - h * T
-            lower = buckets.get(i - 1, DiffOp.zero(P.p, P.level, P.d)) + h
-            buckets[i - 1] = lower
-        if B.is_zero():
-            buckets.pop(i, None)
-        else:
-            buckets[i] = B
-    return P.with_terms({(k, i): c for i, op in buckets.items() for k, c in op.terms.items()})
-
-
-def _divide_symbol_top(B: DiffOp, kT, cT: Poly, p, m, d, laurent):
-    """Quotient h (a DiffOp lift) with sigma(h)*sigma(T) = sigma(B), or None."""
-    sB = B.symbol_exact()
-    out = {}
-    for k, b in sB.terms.items():
-        kq = tuple(a - t for a, t in zip(k, kT))
-        if any(e < 0 for e in kq):
-            return None
-        const = binomial_structure_constant_exact(p, m, kq, kT)
-        q = b.divide_exact(cT.scale(const), laurent)
-        if q is None:
-            return None
-        out[kq] = q
-    return DiffOp(p, m, d, out)
+def _accumulate(terms: dict, key, c: Poly):
+    """terms[key] += c in place; a sum that cancels leaves the dict."""
+    c = terms[key] + c if key in terms else c
+    if c.is_zero():
+        del terms[key]
+    else:
+        terms[key] = c
 
 
 # -- commutation engine -------------------------------------------------------
@@ -501,7 +462,7 @@ def validate_convergence(P: MicroOp) -> ConvergenceProfile:
         return ConvergenceProfile({}, True, "zero operator: empty profile")
     betas = {}
     for (k, i), c in P.terms.items():
-        N0 = term_order(k, i, P.n, P.p, P.mprime)
+        N0 = sum(k) - i * P.localizer_order
         betas[N0] = max(betas.get(N0, -INF), -c.p_valuation(P.p))
     orders = sorted(betas, reverse=True)
     # growth detection: a non-decreasing beta staircase with total growth >= 2
@@ -670,7 +631,7 @@ def membership_intermediate(P: MicroOp, m: int) -> MembershipVerdict:
     image = psi_level_lower(Pc, m)
     worst = None
     for (k, i), c in image.canonical().terms.items():
-        if term_order(k, i, P.n, P.p, P.mprime) < 0:
+        if sum(k) - i * P.localizer_order < 0:
             continue  # automatic: E^(m,m')_0 = E^(m')_0
         v = c.p_valuation(P.p)
         if v < 0 and (worst is None or v < worst[0]):

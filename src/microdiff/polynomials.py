@@ -231,6 +231,9 @@ class Poly:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its number, so it hashes as that number
+        if len(self.coeffs) < 2 and not any(map(any, self.coeffs)):
+            return hash(self.constant_term())
         return hash((self.nvars, frozenset(self.coeffs.items())))
 
     def __repr__(self):

@@ -253,6 +253,11 @@ class TermAlgebra(TermSum):
         )
 
     def __hash__(self):
+        # a scalar equals its number (__eq__ lifts numbers): an element with
+        # no key but k = 0 hashes as that coefficient, which for a scalar is
+        # a constant Poly and hashes as its number
+        if len(self.terms) < 2 and not any(map(any, self.terms)):
+            return hash(next(iter(self.terms.values()), 0))
         return hash((self.p, self.m, self.d, frozenset(self.terms.items())))
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microdiff.diffop import DiffOp, build_theta_tilde, render_diffop
@@ -182,6 +182,22 @@ class TestTermAlgebra:
         assert DiffOp.dx(2, 0) != SymbolPoly.xi(2, 0)
         assert SymbolPoly.xi(2, 0) != DiffOp.dx(2, 0)
         assert SymbolPoly.one(2, 0) == 1 and SymbolPoly.xi(2, 0) != 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12)),
+        st.sampled_from([2, 3, 5]),
+        st.integers(0, 2),
+        st.integers(1, 2),
+    )
+    @example(0, 2, 0, 1)
+    @example(Fraction(0), 3, 2, 2)
+    def test_a_scalar_hashes_as_its_number(self, c, p, m, d):
+        # __eq__ lifts a number, so a set or dict must not tell them apart
+        for x in (Poly.const(c, d), DiffOp.scalar(c, p, m, d), SymbolPoly.scalar(c, p, m, d)):
+            assert x == c
+            assert hash(x) == hash(c)
+            assert len({x, c}) == 1
 
     def test_symbol_and_operator_never_combine(self):
         xi, d = SymbolPoly.xi(2, 0), DiffOp.dx(2, 0)

@@ -61,6 +61,12 @@ class CyclicModule:
         self.relations = tuple(rels)
 
     def level_raised(self, mprime: int) -> "CyclicModule":
+        """M at level m' >= m: its relations through phi, content cleared;
+        M itself at m' = m."""
+        if mprime < self.m:
+            raise LevelMismatch(f"cannot lower the module level {self.m} to {mprime}")
+        if mprime == self.m:
+            return self
         return CyclicModule(self.p, mprime, [level_map_phi(P, mprime) for P in self.relations])
 
 
@@ -278,8 +284,8 @@ def order_standard_basis(M: CyclicModule, bounds: Bounds = Bounds()) -> OrderSta
             admit(R)
             queue_pairs_for(len(basis) - 1)
 
-    # independent re-verification: every original generator and every bounded
-    # S-pair must reduce to zero against the returned basis
+    # independent re-verification: every original generator must reduce to
+    # zero against the returned basis (the S-pairs are not re-checked)
     if complete:
         try:
             for P in M.relations:
@@ -401,12 +407,15 @@ def micro_support_test(
     window: int = -12,
     char: CharVariety = None,
 ) -> dict:
-    """Per-level support verdicts on the punctured chart (Theta = xi).
+    """Per-level support verdicts on the punctured chart (Theta = xi) of
+    M.level_raised(L), for each L in levels (L >= M's level m).
 
     A clean two-sided inverse of a relation certifies vanishing off the zero
     section; otherwise the bounded-window expansion is reported as
     diagnostic evidence only.  When the certified char_variety of M is
-    supplied, the punctured parts at M's own level are cross-checked with it.
+    supplied, the punctured parts at level m are cross-checked with it; the
+    check asserts agreement only if some relation was inverted and every
+    generic verdict there vanishes.
 
     The window is a finite integer >= MIN_WINDOW_FLOOR (-32), as for
     ``try_invert``; any other is refused with InvalidParameter, whether or
@@ -417,13 +426,13 @@ def micro_support_test(
     check_window(window)
     xi = SymbolPoly.xi(M.p, 0, 1)
     out = {"levels": {}, "crosscheck": None}
+    own = None  # at level m: (every generic verdict of some relation vanishes, fibers)
     for level in levels:
-        verdicts = []
+        generic = []
         fiber_factors = set()
-        for P in M.relations:
-            Pl = level_map_phi(P, level) if level > M.m else P
+        for P in M.level_raised(level).relations:
             try:
-                rep = try_invert(Pl, xi, level, floor=window, laurent=True)
+                rep = try_invert(P, xi, level, floor=window, laurent=True)
                 betas = rep.profile.pairs()
                 if rep.ok:
                     verdict, note = "Vanishes", "two-sided inverse with residual certificate"
@@ -431,37 +440,30 @@ def micro_support_test(
                     verdict, note = "PersistsUpToWindow", rep.note
             except SymbolMismatch as exc:
                 verdict, note, betas = "PersistsUpToWindow", str(exc), ()
-            verdicts.append(SupportVerdict(level, "generic", verdict, note, betas))
-            fiber_factors.update(_degenerate_fiber_factors(Pl))
-        for fac in sorted(fiber_factors):
-            verdicts.append(
-                SupportVerdict(
-                    level,
-                    f"fiber[{fac}]",
-                    "PersistsUpToWindow",
-                    "leading symbol degenerates on this fiber",
-                )
+            generic.append(SupportVerdict(level, "generic", verdict, note, betas))
+            fiber_factors.update(_degenerate_fiber_factors(P))
+        fibers = sorted(fiber_factors)
+        out["levels"][level] = generic + [
+            SupportVerdict(
+                level, f"fiber[{fac}]", "PersistsUpToWindow",
+                "leading symbol degenerates on this fiber",
             )
-        out["levels"][level] = verdicts
+            for fac in fibers
+        ]
+        if level == M.m:
+            own = (bool(generic) and all(v.verdict == "Vanishes" for v in generic), fibers)
     if char is not None and char.complete:
         lvl = M.m
-        vs = out["levels"].get(lvl)
-        if vs is None:
+        if own is None:
             out["crosscheck"] = {
                 "level": lvl, "agree": None,
                 "note": f"not crosschecked: no support verdicts at level {lvl}, the level of Char",
             }
-        elif all(v.verdict == "Vanishes" for v in vs if v.chart_class == "generic"):
-            supp_fibers = sorted(
-                v.chart_class[len("fiber["):-1]
-                for v in vs
-                if v.chart_class.startswith("fiber[")
-            )
-            agree = supp_fibers == (char.punctured_part() or [])
+        elif own[0]:
             out["crosscheck"] = {
                 "level": lvl,
-                "agree": agree,
-                "support_fibers": supp_fibers,
+                "agree": own[1] == char.punctured_part(),
+                "support_fibers": own[1],
                 "char_fibers": char.punctured_part(),
             }
         else:
@@ -566,8 +568,8 @@ MAX_STABILITY_MPRIME = 16
 def stability_probe(M: CyclicModule, mprime_max: int, bounds: Bounds = Bounds()) -> dict:
     """Char^(m') for each level m' = m..mprime_max, with the least level from
     which the Char column stops changing within bounds (empirical N), and the
-    levels whose certificate is incomplete.  Per-level support verdicts come
-    from ``micro_support_test``."""
+    levels whose certificate is incomplete.  It computes Char only; support
+    verdicts at a level come from ``micro_support_test``."""
     if mprime_max < M.m:
         raise LevelMismatch(
             f"need mprime_max >= the module level {M.m}, got {mprime_max}"
@@ -577,8 +579,7 @@ def stability_probe(M: CyclicModule, mprime_max: int, bounds: Bounds = Bounds())
     rows = []
     classes = []
     for mp in range(M.m, mprime_max + 1):
-        Ml = M.level_raised(mp) if mp > M.m else M
-        cv = char_variety(Ml, bounds)
+        cv = char_variety(M.level_raised(mp), bounds)
         key = (cv.char_class, tuple(cv.fibers), tuple(cv.points), cv.zero_section)
         classes.append((key, cv.complete))
         rows.append({"level": mp, "char": cv.to_json()})

@@ -141,9 +141,8 @@ class _Parser:
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
             op = self.take("op")[1]
             w = self.term()
-            w = w if op == "+" else -w
-            # a sum with a MicroOp is taken on that operand's localizer
-            v = w + v if _is_micro(w) and not _is_micro(v) else v + w
+            # a number or DiffOp defers to a MicroOp; TermSum has no __rsub__
+            v = v + (w if op == "+" else -w)
         return v
 
     def term(self):
@@ -415,9 +414,7 @@ def cmd_member(args, session):
         raise ExprSyntaxError("member needs a microlocal operator (use Tinv)")
     from .microloc import change_presentation_level, membership_intermediate
 
-    if v.level != args.mprime:
-        v = change_presentation_level(v, args.mprime)
-    verdict = membership_intermediate(v, args.m)
+    verdict = membership_intermediate(change_presentation_level(v, args.mprime), args.m)
     payload = {
         "m": args.m,
         "mprime": args.mprime,
@@ -433,8 +430,7 @@ def _module_from_args(args, session):
     for r in rels:
         if not isinstance(r, DiffOp):
             raise ExprSyntaxError("relations must be differential operators")
-    rels = [r.level_shift(args.level) if r.m != args.level else r for r in rels]
-    return CyclicModule(session.p, args.level, rels)
+    return CyclicModule(session.p, args.level, [r.level_shift(args.level) for r in rels])
 
 
 def _bounds_from_args(args):

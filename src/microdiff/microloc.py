@@ -155,7 +155,9 @@ class MicroOp(TermSum):
     def __add__(self, other):
         other = self.lift(other)
         self._check(other)
-        return self.with_terms(self._merged(other), floor=max(self.floor, other.floor))
+        out = self.with_terms(self._merged(other), floor=max(self.floor, other.floor))
+        out.laurent = self.laurent or other.laurent  # joins the charts as micro_multiply does
+        return out
 
     # -- canonical form -------------------------------------------------------
 
@@ -505,8 +507,10 @@ def invert_theta_tilde(theta: SymbolPoly, level: int, mprime: int, floor, lauren
 def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> InversionReport:
     """Invert P in the microlocalized ring at (P.m, mprime) on D(theta).
 
-    P may be a DiffOp or a left-presented MicroOp.  sigma(P) must be a single
-    monomial with unit coefficient on the chart; otherwise SymbolMismatch.
+    P may be a DiffOp or a left-presented MicroOp on the localizer (theta,
+    mprime); a MicroOp on another is refused with IncompatibleLocalizer
+    before any product.  sigma(P) must be a single monomial with unit
+    coefficient on the chart; otherwise SymbolMismatch.
     The window floor must be a finite integer >= MIN_WINDOW_FLOOR (-32);
     any other is refused with InvalidParameter (``check_window``).  The
     floors of the products inside may drift lower.
@@ -516,6 +520,11 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
     """
     if isinstance(P, DiffOp):
         P = MicroOp.from_diffop(P, theta, mprime, laurent=laurent)
+    elif (P.theta, P.mprime) != (theta, mprime):
+        raise IncompatibleLocalizer(
+            f"P is presented over theta = {P.theta}, m' = {P.mprime}, "
+            f"not theta = {theta}, m' = {mprime}"
+        )
     if P.is_zero():
         raise SymbolMismatch("the zero operator is not invertible")
     check_window(floor)

@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from microdiff.diffop import DiffOp
-from microdiff.errors import InvalidParameter
+from microdiff.errors import InvalidParameter, LevelMismatch
 from microdiff.microloc import try_invert
 from microdiff.polynomials import Poly
 from microdiff.pseudopoly import SymbolPoly
@@ -287,6 +289,47 @@ class TestMicroSupport:
         cv = char_variety(M)
         rep = micro_support_test(M, [1], window=WINDOW, char=cv)
         assert rep["crosscheck"]["agree"] is None
+
+
+@st.composite
+def raised_modules(draw):
+    """A level-0 module at p = 2 or 3 with one or two relations of order
+    <= 2, each of up to three terms of x-degree <= 2 with coefficients in
+    -3..3; and a level L in 0..2."""
+    p = draw(st.sampled_from([2, 3]))
+    poly = st.builds(lambda e, c: Poly(1, {(e,): c}), st.integers(0, 2), st.integers(-3, 3))
+    rel = st.dictionaries(st.tuples(st.integers(0, 2)), poly, min_size=1, max_size=3)
+    rels = draw(st.lists(rel, min_size=1, max_size=2))
+    return CyclicModule(p, 0, [DiffOp(p, 0, 1, t) for t in rels]), draw(st.integers(0, 2))
+
+
+class TestLevelRaised:
+    def test_own_level_is_the_module_itself(self):
+        for M in (module(2, 0, D(2) - X(2)), module(3, 1), module(2, 2, D(2, 2))):
+            assert M.level_raised(M.m) is M
+
+    @pytest.mark.parametrize("rels", [[], [D(2, 1) - X(2, 1)]])
+    def test_a_lower_level_is_refused(self, rels):
+        with pytest.raises(LevelMismatch, match="^cannot lower the module level 1 to 0$"):
+            CyclicModule(2, 1, rels).level_raised(0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(raised_modules())
+    @example((module(2, 0, X(2) * D(2) * D(2)), 1))
+    @example((
+        module(
+            2, 0,
+            (X(2, power=2) - X(2, power=2) * D(2) * D(2)).scale(2),
+            DiffOp(2, 0, 1, {(2,): Poly.from_univariate([1, 3, 1])}),
+        ),
+        2,
+    ))
+    def test_support_at_a_level_is_that_of_the_raised_module(self, case):
+        # both read M.level_raised(L): same verdicts, notes and betas
+        M, L = case
+        assert micro_support_test(M, [L], window=-6) == micro_support_test(
+            M.level_raised(L), [L], window=-6
+        )
 
 
 class TestIncompleteCertificates:

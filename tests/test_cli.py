@@ -252,6 +252,24 @@ class TestCommands:
         }
         assert sorted(data["verdicts"]) == ["0", "1"]
 
+    def test_supp_raised_level_keeps_the_degenerate_fiber(self, capsys):
+        # at --at-levels 1 the relation is that of --level 1: phi(x d^2) =
+        # 2x D^<1><2> with its content cleared, so fiber[x] stays
+        argv = ["supp", "--p", "2", "--rel", "x1*d1^2", "--window-floor", "-6", "--json"]
+        code, out, _ = run(capsys, *argv, "--at-levels", "0", "1")
+        assert code == EXIT_PARTIAL
+        raised = json.loads(out)["verdicts"]["1"]
+        assert [v["chart"] for v in raised] == ["generic", "fiber[x]"]
+        code, out, _ = run(capsys, *argv, "--level", "1")
+        assert json.loads(out)["verdicts"]["1"] == raised
+
+    def test_supp_without_relations_asserts_no_agreement(self, capsys):
+        code, out, _ = run(capsys, "supp", "--p", "2", "--rel", "d1 - d1", "--json")
+        data = json.loads(out)
+        assert data["char_class"] == "whole-space"
+        assert data["verdicts"] == {"0": []}
+        assert data["crosscheck"]["agree"] is None
+
     def test_supp_non_unit_top_coefficient_persists(self, capsys):
         # (1 + x) d has a top coefficient that is no unit on the chart, so
         # try_invert refuses it and the generic verdict carries its reason
@@ -372,6 +390,8 @@ class TestBoundary:
         ("invert", "--p", "2", "--expr", "d1 - x1", "--mprime", "0", "--window-floor", "-300"),
         ("levelmap", "--p", "2", "--expr", "d1^4", "--mprime", "1000000000"),
         ("stability", "--p", "2", "--rel", "d1 - x1", "--mprime-max", "400"),
+        ("invert", "--p", "2", "--expr", "d1 + Tinv(xi1,0,1)", "--mprime", "0"),
+        ("supp", "--p", "2", "--level", "1", "--rel", "d1 - x1", "--at-levels", "0"),
     ]
 
     @pytest.mark.parametrize(
@@ -386,7 +406,8 @@ class TestBoundary:
              "normcalc-d-negative", "localizer-order-above-cap",
              "tinv-localizer-order-above-cap", "normcalc-mprime-above-cap",
              "window-floor-below-cap", "levelmap-mprime-above-cap",
-             "stability-mprime-above-cap"],
+             "stability-mprime-above-cap", "invert-other-localizer",
+             "supp-level-below-module"],
     )
     def test_one_error_line_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from microdiff.diffop import DiffOp, build_theta_tilde
@@ -110,6 +110,50 @@ def localizer_micro(draw, constant_only=True):
     return MicroOp(theta, m, mp, terms, floor=floor, laurent=laurent)
 
 
+@st.composite
+def mixed_chart_pairs(draw):
+    """Two left MicroOps on one localizer, the first on the Laurent chart and
+    the second off it: p = 2 or 3, 0 <= m <= m' <= 2, theta xi, (1+x)*xi,
+    x*xi or x^2*xi, and terms and floors as in ``localizer_micro``."""
+    p = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(0, 2))
+    mp = draw(st.integers(m, 2))
+    theta = SymbolPoly(p, 0, 1, {(1,): draw(st.sampled_from([Poly.const(1), *THETA_COEFFS]))})
+    polys = st.dictionaries(
+        st.tuples(st.integers(-1, 3)), st.integers(-4, 4), max_size=3
+    ).map(lambda c: Poly(1, c))
+    keys = st.tuples(st.tuples(st.integers(0, 2 * p**mp + 2)), st.integers(0, 3))
+    floors = st.sampled_from([-math.inf, *range(-8, 1)])
+    return [
+        MicroOp(theta, m, mp, draw(st.dictionaries(keys, polys, max_size=4)),
+                floor=draw(floors), laurent=laurent)
+        for laurent in (True, False)
+    ]
+
+
+@st.composite
+def integral_micro_pairs(draw):
+    """Two canonical, integral left MicroOps on one localizer theta = xi:
+    p = 2 or 3, 0 <= m <= m' <= 2, floor -8, up to three (k, i) terms with
+    k <= 4 and i <= 2, and coefficients of x-degree <= 2 in -3..3."""
+    p = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(0, 2))
+    mp = draw(st.integers(m, 2))
+    polys = st.dictionaries(
+        st.tuples(st.integers(0, 2)), st.integers(-3, 3), max_size=3
+    ).map(lambda c: Poly(1, c))
+    keys = st.tuples(st.tuples(st.integers(0, 4)), st.integers(0, 2))
+    xi = SymbolPoly.xi(p, 0)
+    pair = [
+        MicroOp(xi, m, mp, draw(st.dictionaries(keys, polys, max_size=3)), floor=-8).canonical()
+        for _ in range(2)
+    ]
+    assume(all(A.is_integral() for A in pair))
+    return pair
+
+
+X_XI2 = SymbolPoly(2, 0, 1, {(1,): Poly.var()})  # x*xi
+
 NONZERO_CONSTANTS = [1, -1, 3, Fraction(-5, 2), Fraction(1, 3)]
 
 
@@ -199,6 +243,17 @@ class TestAdditiveStructure:
         for combine in (lambda: A + xi, lambda: xi + A, lambda: A - xi, lambda: xi - A):
             with pytest.raises(IncompatibleLocalizer, match="SymbolPoly"):
                 combine()
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_chart_pairs())
+    @example([MicroOp(X_XI2, 0, 0, {((1,), 1): 1}, floor=-6, laurent=True),
+              MicroOp(X_XI2, 0, 0, {((0,), 0): 1}, floor=-6)])
+    def test_a_sum_joins_the_charts(self, pair):
+        # as a product does: on the Laurent chart, d*(x d)^-1 = 1/x, which
+        # the chart of B alone cannot divide out
+        A, B = pair
+        assert (A + B).laurent and (B + A).laurent
+        assert A + B == B + A
 
     @settings(max_examples=100, deadline=None)
     @given(left_micro_pairs(), st.sampled_from([None, -math.inf, -4, 0]))
@@ -419,6 +474,11 @@ class TestMultiply:
             R = rand_micro(rng, XI2, 0, 1, nterms=2, maxi=1)
             assert micro_multiply(micro_multiply(P, Q), R) == micro_multiply(P, micro_multiply(Q, R))
 
+    @settings(max_examples=100, deadline=None)
+    @given(integral_micro_pairs())
+    def test_integral_factors_have_an_integral_product(self, pair):
+        assert micro_multiply(*pair).is_integral()
+
     @pytest.mark.xfail(
         strict=True,
         reason="micro_multiply prunes each push at floor + i2*korder and "
@@ -498,6 +558,16 @@ class TestInversion:
         P = DiffOp(2, 0, 1, {(1,): Poly.from_univariate([1, 1])})  # (1+x) d
         with pytest.raises(SymbolMismatch):
             try_invert(P, XI2, 0, floor=-4)
+
+    def test_another_localizer_is_refused_before_any_product(self, monkeypatch):
+        P = DiffOp.dx(2, 0) + invert_theta_tilde(XI2, 0, 1, floor=-6)
+        monkeypatch.setattr("microdiff.microloc.micro_multiply", None)
+        with pytest.raises(IncompatibleLocalizer,
+                           match=r"^P is presented over theta = xi, m' = 1, not theta = xi, m' = 0$"):
+            try_invert(P, XI2, 0, floor=-6)
+        with pytest.raises(IncompatibleLocalizer,
+                           match=r"^P is presented over theta = xi, m' = 1, not theta = 2\*xi, m' = 1$"):
+            try_invert(P, XI2.scale(2), 1, floor=-6)
 
     def test_window_floor_cap(self):
         with pytest.raises(InvalidParameter, match=r"^window floor -33 below -32$"):

@@ -2,8 +2,8 @@
 library operations, emit human-readable and JSON reports.
 
 Exit codes: 0 success, 2 honest partiality (Undetermined verdicts, bounds
-exhausted, window-limited evidence), 1 errors.  Output is ASCII only and
-byte-deterministic for a fixed command line.
+exhausted, window-limited evidence, a support level without a verdict), 1
+errors.  Output is ASCII only and byte-deterministic for a fixed command line.
 """
 
 import argparse
@@ -434,8 +434,9 @@ def _module_from_args(args, session):
 
 
 def _bounds_from_args(args):
-    return Bounds(max_order=args.max_order, max_xdeg=args.max_xdeg,
-                  precision=args.precision)
+    """Bounds of the flags given; Bounds' own defaults for the rest."""
+    given = {name: getattr(args, name) for name in ("max_order", "max_xdeg", "precision")}
+    return Bounds(**{name: v for name, v in given.items() if v is not None})
 
 
 def cmd_char(args, session):
@@ -457,8 +458,10 @@ def cmd_supp(args, session):
         ]
         for lvl, vs in rep["levels"].items()
     }
+    # a level without a verdict made no statement
     partial = not cv.complete or any(
-        v.verdict == "PersistsUpToWindow" for vs in rep["levels"].values() for v in vs
+        not vs or any(v.verdict == "PersistsUpToWindow" for v in vs)
+        for vs in rep["levels"].values()
     )
     payload = {
         "verdicts": verdicts,
@@ -540,10 +543,10 @@ def build_parser():
     # the options every command takes, shared through argparse's parents
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, required=True, help="the prime")
-    common.add_argument("--precision", type=int, default=20)
+    common.add_argument("--precision", type=int)
     common.add_argument("--window-floor", type=int, default=-12, dest="window_floor")
-    common.add_argument("--max-order", type=int, default=16, dest="max_order")
-    common.add_argument("--max-xdeg", type=int, default=24, dest="max_xdeg")
+    common.add_argument("--max-order", type=int, dest="max_order")
+    common.add_argument("--max-xdeg", type=int, dest="max_xdeg")
     common.add_argument("--json", action="store_true")
     common.add_argument("--config", default=None)
     common.add_argument("--level", type=int, default=0, help="working level m")

@@ -175,9 +175,6 @@ class Poly:
                 out[tuple(e)] = c * exp[j]
         return Poly(self.nvars, out)
 
-    def coefficient(self, exp) -> Fraction:
-        return self.coeffs.get(tuple(exp), Fraction(0))
-
     def map_coeffs(self, f) -> "Poly":
         return Poly(self.nvars, {e: f(c) for e, c in self.coeffs.items()})
 

@@ -1,12 +1,15 @@
 """Characteristic varieties, support tests, and the counterexample suite."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from microdiff.cli import Session, parse
 from microdiff.diffop import DiffOp
 from microdiff.errors import InvalidParameter, LevelMismatch
 from microdiff.microloc import try_invert
@@ -81,12 +84,12 @@ class TestOrderStandardBasis:
         })
 
     def test_soundness_original_generators_reduce(self):
-        from microdiff.charvar import _normal_form
+        from microdiff.charvar import _element, _normal_form
 
         sb = order_standard_basis(module(2, 1, (D(2) - X(2)).level_shift(1)))
-        paired = list(zip(sb.basis, sb.leading))
+        elements = [_element(g) for g in sb.basis]
         for P in module(2, 1, (D(2) - X(2)).level_shift(1)).relations:
-            assert _normal_form(P, paired, sb.bounds).is_zero()
+            assert _normal_form(P, elements, sb.bounds).is_zero()
 
     def test_reducer_whose_structure_constant_is_a_unit(self):
         # at p = 2 and level 0 the structure constant of d * d is 1, a unit,
@@ -103,6 +106,26 @@ class TestOrderStandardBasis:
             )
             for g in sb.basis:
                 assert g.is_integral() and g.p_valuation() == 0
+
+
+# Standard bases of multi-relation modules under default Bounds: the order in
+# which S-pairs are queued fixes the basis, so every element, its leading
+# data, the pair count, the complete flag and the notes are pinned.
+BASES = json.loads((Path(__file__).parent / "golden" / "standard-bases.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", BASES, ids=lambda c: f"p{c['p']}-m{c['m']}-" + ",".join(c["rels"])
+)
+def test_multi_relation_standard_basis_is_pinned(case):
+    session = Session(case["p"])
+    rels = [parse(r, session).level_shift(case["m"]) for r in case["rels"]]
+    sb = order_standard_basis(CyclicModule(case["p"], case["m"], rels))
+    assert [str(g) for g in sb.basis] == case["basis"]
+    assert [[n, str(f)] for n, f in sb.leading] == case["leading"]
+    assert (sb.pairs_checked, sb.complete, sb.notes) == (
+        case["pairs_checked"], case["complete"], case["notes"],
+    )
 
 
 # -- characteristic varieties -------------------------------------------------------

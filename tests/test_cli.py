@@ -264,11 +264,14 @@ class TestCommands:
         assert json.loads(out)["verdicts"]["1"] == raised
 
     def test_supp_without_relations_asserts_no_agreement(self, capsys):
+        # no relation, no verdict: a partial answer, not a clean one
         code, out, _ = run(capsys, "supp", "--p", "2", "--rel", "d1 - d1", "--json")
+        assert code == EXIT_PARTIAL
         data = json.loads(out)
         assert data["char_class"] == "whole-space"
         assert data["verdicts"] == {"0": []}
         assert data["crosscheck"]["agree"] is None
+        assert data["crosscheck"]["note"] == "inconclusive: no relation to invert"
 
     def test_supp_non_unit_top_coefficient_persists(self, capsys):
         # (1 + x) d has a top coefficient that is no unit on the chart, so
@@ -392,6 +395,8 @@ class TestBoundary:
         ("stability", "--p", "2", "--rel", "d1 - x1", "--mprime-max", "400"),
         ("invert", "--p", "2", "--expr", "d1 + Tinv(xi1,0,1)", "--mprime", "0"),
         ("supp", "--p", "2", "--level", "1", "--rel", "d1 - x1", "--at-levels", "0"),
+        ("char", "--p", "2", "--level", "1", "--rel", "x1*d1 - 1", "--precision", "0"),
+        ("char", "--p", "2", "--rel", "d1 - x1", "--max-order", "-1"),
     ]
 
     @pytest.mark.parametrize(
@@ -407,7 +412,7 @@ class TestBoundary:
              "tinv-localizer-order-above-cap", "normcalc-mprime-above-cap",
              "window-floor-below-cap", "levelmap-mprime-above-cap",
              "stability-mprime-above-cap", "invert-other-localizer",
-             "supp-level-below-module"],
+             "supp-level-below-module", "precision-0", "max-order-negative"],
     )
     def test_one_error_line_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -524,6 +529,16 @@ class TestConfig:
         )
         assert code == EXIT_OK
         assert json.loads(out)["inverse"]["floor"] == -6
+
+    def test_config_bound_is_checked(self, capsys, tmp_path):
+        # a budget from the config file is refused as the flag would be
+        cfg = tmp_path / "microdiff.cfg"
+        cfg.write_text("precision=0\n")
+        code, out, err = run(
+            capsys, "char", "--p", "2", "--rel", "d1 - x1", "--config", str(cfg),
+        )
+        assert code == EXIT_ERROR and out == ""
+        assert err == "error: bound precision 0 below 1\n"
 
     def test_config_switch(self, capsys, tmp_path):
         # x*d - 1 is invertible only on the punctured (Laurent) chart

@@ -12,6 +12,7 @@ from microdiff.charvar import (
     char_variety,
 )
 from microdiff.diffop import DiffOp, OrderSymbol, ThetaTilde, build_theta_tilde
+from microdiff.errors import InvalidParameter
 from microdiff.microloc import ConvergenceProfile, InversionReport, MembershipVerdict
 from microdiff.pseudopoly import SymbolPoly
 
@@ -90,6 +91,20 @@ def test_bad_fields_are_type_errors():
         Bounds(max_depth=3)
     with pytest.raises(TypeError):
         Bounds(16, max_order=3)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("precision", 0), ("precision", -3), ("max_order", -1), ("max_xdeg", -1),
+    ("max_steps", 0),
+])
+def test_bounds_refuse_a_budget_that_certifies_nothing(field, value):
+    with pytest.raises(InvalidParameter, match=f"^bound {field} {value} below "):
+        Bounds(**{field: value})
+
+
+def test_bounds_take_their_least_values():
+    b = Bounds(max_order=0, max_xdeg=0, precision=1, max_steps=1)
+    assert b.to_json() == {"max_order": 0, "max_xdeg": 0, "precision": 1, "max_steps": 1}
 
 
 def test_repr_names_every_field():

@@ -16,9 +16,9 @@ from collections import deque
 from fractions import Fraction
 
 from .errors import BoundsExhausted, InvalidParameter, LevelMismatch, SymbolMismatch
-from .padic import binomial_structure_constant_exact, check_prime_and_level, residue, valuation
+from .padic import binomial_structure_constant_exact, check_prime_and_level, residue
 from .polynomials import Poly
-from .pseudopoly import SymbolPoly, check_window, digit_decomposition
+from .pseudopoly import SymbolPoly, check_window, digit_decomposition, leading_divides, leading_lcm
 from .diffop import DiffOp, level_map_phi
 from .record import FrozenRecord, Record
 
@@ -137,8 +137,11 @@ def _shifted(el, n: int, deg: int):
 
 def _normal_form(P: DiffOp, basis, bounds: Bounds):
     """Mora-style reduction against the basis elements, clearing p-content as
-    it appears; intermediate remainders join the reducer set so
-    local-ordering reduction terminates instead of cycling.
+    it appears.  Between two p-divisions the mod-p leading data (n, deg)
+    strictly fall, since each step cancels the mod-p leading term and adds
+    nothing above it.  So an operator P met again comes back after k >= 1
+    divisions: P - h = p^k P with h in the ideal, and P = h / (1 - p^k) lies
+    in the ideal, 1 - p^k being a unit of Z_(p).  A revisit returns zero.
 
     Returns the (integral, content-0) remainder, or raises BoundsExhausted
     when an intermediate operator leaves the bounded region.
@@ -146,52 +149,26 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
     p = P.p
     steps = 0
     divisions = 0  # cumulative p-content cleared; capped by the precision
-    extra = []  # elements of intermediate remainders, all in the (saturated) ideal
-    seen = {}  # operator -> divisions count when first seen
-    units = {}  # (n - ng, ng) -> is the structure constant a p-adic unit
-
-    def best(pool, n, deg):
-        """The fitting element of least ecart, the first among equals."""
-        fits = []
-        for el in pool:
-            _, ng, _, deg_fg, _ = el
-            if ng <= n and deg_fg <= deg:
-                unit = units.get((n - ng, ng))
-                if unit is None:
-                    c = binomial_structure_constant_exact(p, P.m, (n - ng,), (ng,))
-                    unit = units[n - ng, ng] = valuation(c, p) == 0
-                if unit:
-                    fits.append(el)
-        return min(fits, key=lambda el: el[4], default=None)  # el[4]: the ecart
-
+    seen = set()
     v = P.p_valuation()
     while not P.is_zero():
         if v:
             divisions += v
-            if divisions >= bounds.precision:
-                # the remainder is p-adically below the certified precision
-                return DiffOp.zero(p, P.m, P.d)
             P = P.scale(Fraction(1, 1) / Fraction(p) ** v)
+        # past the precision the remainder is p-adically below what is certified
+        if P in seen or divisions >= bounds.precision:
+            return DiffOp.zero(p, P.m, P.d)
+        seen.add(P)
         if P.order() > bounds.max_order or P.max_xdeg() > bounds.max_xdeg:
             raise BoundsExhausted(
                 f"normal form left the bounded region "
                 f"(order {P.order()}, x-degree {P.max_xdeg()})"
             )
-        # a revisited state only makes progress if p-divisions accumulated in
-        # between (the precision cap then bounds the total number of loops)
-        if seen.get(P) == divisions:
-            raise BoundsExhausted("reduction cycled without p-adic progress")
-        seen[P] = divisions
-        el = _element(P)
-        _, n, f, deg, _ = el
-        # the basis takes precedence over the intermediates
-        pick = best(basis, n, deg) or best(extra, n, deg)
-        if pick is None:
+        _, n, f, deg, _ = _element(P)
+        fits = [el for el in basis if el[3] <= deg and leading_divides(el[1], n, p, P.m)]
+        if not fits:
             return P
-        # every intermediate may serve as a reducer later (Mora's trick);
-        # p-content division can revisit a leading term, and the stored copy
-        # then cancels it exactly instead of cycling
-        extra.append(el)
+        pick = min(fits, key=lambda el: el[4])  # least ecart, the first among equals
         red, u = _shifted(pick, n, deg)
         lam = residue(_lc(f) / u, p)
         # both mod-p lifts of the cancellation factor kill the leading term;
@@ -209,10 +186,10 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
 def order_standard_basis(M: CyclicModule, bounds: Bounds = Bounds()) -> OrderStandardBasis:
     """Order-filtration standard basis of the relation ideal within bounds.
 
-    S-pairs match leading terms in the mod-p graded ring (orders combine
-    digit-wise, x-degrees via lcm); digit-overflow pairs multiply a basis
-    element by (D^<m,p^i>)^(p-c_i) to force a carry, exposing the ideal
-    elements that only appear after division by p.
+    S-pairs match leading terms in the mod-p graded ring (orders through
+    ``leading_lcm``, x-degrees through their max); digit-overflow pairs
+    multiply a basis element by (D^<m,p^i>)^(p-c_i) to force a carry,
+    exposing the ideal elements that only appear after division by p.
     """
     p, m = M.p, M.m
     basis = [_element(P) for P in M.relations]  # relations first, then remainders
@@ -248,15 +225,7 @@ def order_standard_basis(M: CyclicModule, bounds: Bounds = Bounds()) -> OrderSta
                 S = (DiffOp.dx(p, m, p**i) ** e) * basis[idx][0]
             else:
                 g, h = basis[item[1]], basis[item[2]]
-                # lcm of leading monomials in the graded ring: digit-wise max
-                # of the orders (n - ng + ng never carries), max of x-degrees
-                n, q, a, b = 0, 1, g[1], h[1]
-                while a or b:
-                    n += max(a % p, b % p) * q
-                    a //= p
-                    b //= p
-                    q *= p
-                D = max(g[3], h[3])
+                n, D = leading_lcm(g[1], h[1], p, m), max(g[3], h[3])
                 Sg, ug = _shifted(g, n, D)
                 Sh, uh = _shifted(h, n, D)
                 S = Sg.scale(uh) - Sh.scale(ug)
@@ -532,10 +501,10 @@ def verify_counterexample(p: int, n_max: int = 30) -> dict:
 # -- stability probe --------------------------------------------------------------
 
 
-# No mprime_max above this: one Char per level.  `stability --p 2 --rel
-# "d1 - x1"` took 0.28 s of CPU at 16, 0.51 s at 64 and 1.2 s at 128 on one
-# Xeon core, but a costlier module takes seconds a level: `--p 3 --rel
-# "x1^2*d1^2 - x1"` took 6 s at 4 and 29 s at 16.
+# No mprime_max above this: one Char per level.  On one Xeon core `stability
+# --p 2 --rel "d1 - x1"` took 0.22 s of CPU at 16, and `--p 3 --rel
+# "x1^2*d1^2 - x1"` 0.6 s at 4 and 2.2 s at 16; but a costlier module takes
+# seconds a level: `--p 5` on the same relation took 58 s at 8.
 MAX_STABILITY_MPRIME = 16
 
 

@@ -3,7 +3,8 @@ library operations, emit human-readable and JSON reports.
 
 Exit codes: 0 success, 2 honest partiality (Undetermined verdicts, bounds
 exhausted, window-limited evidence, a support level without a verdict), 1
-errors.  Output is ASCII only and byte-deterministic for a fixed command line.
+errors, usage errors included.  Output is ASCII only and byte-deterministic
+for a fixed command line.
 """
 
 import argparse
@@ -533,15 +534,20 @@ def _config_tokens(path):
     return tokens
 
 
+class _ArgParser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 through main's error boundary, not 2
+        raise InvalidParameter(message)
+
+
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _ArgParser(
         prog="microdiff",
         description="Exact-arithmetic calculator for level-m differential "
         "operators, microlocalizations, and characteristic varieties (d=1).",
     )
 
     # the options every command takes, shared through argparse's parents
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgParser(add_help=False)
     common.add_argument("--p", type=int, required=True, help="the prime")
     common.add_argument("--precision", type=int)
     common.add_argument("--window-floor", type=int, default=-12, dest="window_floor")
@@ -619,8 +625,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             # the config's flags go right after the command, before the
             # user's own: argparse keeps the last value, so those win

@@ -311,6 +311,8 @@ def _accumulate(terms: dict, key, c: Poly):
 
 # -- commutation engine -------------------------------------------------------
 
+NOT_NILPOTENT = "commutation series does not terminate; a finite window floor is required"
+
 
 def _push(T: DiffOp, i: int, Q: DiffOp, floor, korder: int, signed: bool, memo: dict):
     """Move T^(-i) past Q, one pass per power of T, modulo order < floor.
@@ -320,10 +322,20 @@ def _push(T: DiffOp, i: int, Q: DiffOp, floor, korder: int, signed: bool, memo: 
     sum_s T^(-s-1) ad_T^s(D), giving Q * T^(-i) = sum_t T^(-t) D_t.  korder
     is the order of T; memo maps D -> ad_T(D) = [T, D].  Terms that cannot
     reach the floor after the remaining passes are pruned.  At an exact
-    floor (-inf), SearchBoundExceeded when ad_T is not nilpotent on a term.
+    floor (-inf), SearchBoundExceeded when ad_T is not nilpotent on a term:
+    for T = c*D^<m><K> with c a constant, at once if a coefficient has a
+    negative exponent in an x_j with K_j != 0 (the D-power of ad_T^s(b*D^k)
+    that falls by s in coordinate j carries only the s-th x_j-derivative of
+    b), and for any other T after a step bound.
     """
     if Q.is_zero():
         return {}
+    K = next(iter(T.terms))
+    decided = len(T.terms) == 1 and T.terms[K].is_constant()
+    if floor == -INF and decided and i and any(
+        e[j] < 0 and K[j] for b in Q.terms.values() for e in b.coeffs for j in range(Q.d)
+    ):
+        raise SearchBoundExceeded(NOT_NILPOTENT)
     cur = {0: Q}
     for remaining in range(i - 1, -1, -1):
         nxt = {}
@@ -333,10 +345,8 @@ def _push(T: DiffOp, i: int, Q: DiffOp, floor, korder: int, signed: bool, memo: 
             while not c.is_zero():
                 if c.order() - (t + s + 1 + remaining) * korder < floor:
                     break
-                if floor == -INF and s > 4 * (abs(D.order()) + D.max_xdeg() + 8):
-                    raise SearchBoundExceeded(
-                        "commutation series does not terminate; a finite window floor is required"
-                    )
+                if floor == -INF and not decided and s > 4 * (abs(D.order()) + D.max_xdeg() + 8):
+                    raise SearchBoundExceeded(NOT_NILPOTENT)
                 piece = c if (s % 2 == 0 or not signed) else -c
                 key = t + s + 1
                 nxt[key] = nxt.get(key, DiffOp.zero(D.p, D.m, D.d)) + piece

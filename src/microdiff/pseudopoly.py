@@ -21,6 +21,7 @@ between divided bases; to level 0 it is the rational lift.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import InvalidParameter, LevelMismatch, NotHomogeneous
@@ -66,6 +67,19 @@ def digit_decomposition(k: int, p: int, m: int):
 
 def digits_to_k(digits, p: int) -> int:
     return sum(c * p**i for i, c in enumerate(digits))
+
+
+def leading_divides(a: int, n: int, p: int, m: int) -> bool:
+    """Whether xi^<m><a> divides xi^<m><n> up to a p-adic unit: a <= n digit
+    by digit, the top part c_m taken whole.  By Kummer that is when
+    binomial_structure_constant_exact(p, m, (n-a,), (a,)) is a p-unit."""
+    return all(map(operator.le, digit_decomposition(a, p, m), digit_decomposition(n, p, m)))
+
+
+def leading_lcm(a: int, b: int, p: int, m: int) -> int:
+    """The least n that a and b divide (``leading_divides``): the digit-wise
+    max of the m low digits, and the max of the top parts."""
+    return digits_to_k(map(max, digit_decomposition(a, p, m), digit_decomposition(b, p, m)), p)
 
 
 def digit_monomial_constant(digits, p: int, m: int) -> Fraction:

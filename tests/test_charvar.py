@@ -9,15 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from microdiff import charvar
 from microdiff.cli import Session, parse
 from microdiff.diffop import DiffOp
-from microdiff.errors import InvalidParameter, LevelMismatch
+from microdiff.errors import BoundsExhausted, InvalidParameter, LevelMismatch
 from microdiff.microloc import try_invert
+from microdiff.padic import binomial_structure_constant_exact, residue, valuation
 from microdiff.polynomials import Poly
 from microdiff.pseudopoly import SymbolPoly
 from microdiff.charvar import (
     Bounds,
     CyclicModule,
+    _element,
+    _lc,
+    _normal_form,
+    _shifted,
     char_variety,
     micro_support_test,
     order_standard_basis,
@@ -126,6 +132,164 @@ def test_multi_relation_standard_basis_is_pinned(case):
     assert (sb.pairs_checked, sb.complete, sb.notes) == (
         case["pairs_checked"], case["complete"], case["notes"],
     )
+
+
+# -- the normal form against its Mora-style oracle -----------------------------------
+
+
+def _normal_form_with_pool(P, basis, bounds):
+    """_normal_form as it was with Mora's pool of intermediate reducers: the
+    fit test is a memoized structure-constant valuation, every intermediate
+    joins the pool, a revisit with more p-divisions is passed over (it then
+    cycles up to the precision cap), and one with none raises "cycled"."""
+    p = P.p
+    steps = 0
+    divisions = 0
+    extra = []
+    seen = {}
+    units = {}
+
+    def best(pool, n, deg):
+        fits = []
+        for el in pool:
+            _, ng, _, deg_fg, _ = el
+            if ng <= n and deg_fg <= deg:
+                unit = units.get((n - ng, ng))
+                if unit is None:
+                    c = binomial_structure_constant_exact(p, P.m, (n - ng,), (ng,))
+                    unit = units[n - ng, ng] = valuation(c, p) == 0
+                if unit:
+                    fits.append(el)
+        return min(fits, key=lambda el: el[4], default=None)
+
+    v = P.p_valuation()
+    while not P.is_zero():
+        if v:
+            divisions += v
+            if divisions >= bounds.precision:
+                return DiffOp.zero(p, P.m, P.d)
+            P = P.scale(Fraction(1, 1) / Fraction(p) ** v)
+        if P.order() > bounds.max_order or P.max_xdeg() > bounds.max_xdeg:
+            raise BoundsExhausted(
+                f"normal form left the bounded region "
+                f"(order {P.order()}, x-degree {P.max_xdeg()})"
+            )
+        if seen.get(P) == divisions:
+            raise BoundsExhausted("reduction cycled without p-adic progress")
+        seen[P] = divisions
+        el = _element(P)
+        _, n, f, deg, _ = el
+        pick = best(basis, n, deg) or best(extra, n, deg)
+        if pick is None:
+            return P
+        extra.append(el)
+        red, u = _shifted(pick, n, deg)
+        lam = residue(_lc(f) / u, p)
+        P1 = P - red.scale(lam)
+        P2 = P - red.scale(lam - p)
+        v1, v2 = P1.p_valuation(), P2.p_valuation()
+        P, v = (P2, v2) if v2 > v1 else (P1, v1)
+        steps += 1
+        if steps > bounds.max_steps:
+            raise BoundsExhausted("normal form exceeded the step budget")
+    return P
+
+
+def _lcm_over_every_digit(a, b, p, m):
+    """The S-pair lcm as it was: a digit-wise max over every base-p digit,
+    also above the m low ones."""
+    n, q = 0, 1
+    while a or b:
+        n += max(a % p, b % p) * q
+        a //= p
+        b //= p
+        q *= p
+    return n
+
+
+@st.composite
+def random_modules(draw):
+    """A module at p = 2 or 3 and level 0..2 with one to three relations,
+    each of up to two terms D^<m><k>, k <= 2, whose coefficients have up to
+    two terms of x-degree <= 2 and coefficients in -3..3."""
+    p = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(0, 2))
+    poly = st.dictionaries(st.tuples(st.integers(0, 2)), st.integers(-3, 3), min_size=1, max_size=2)
+    rel = st.dictionaries(st.tuples(st.integers(0, 2)), poly.map(lambda c: Poly(1, c)),
+                          min_size=1, max_size=2)
+    return CyclicModule(p, m, [DiffOp(p, m, 1, t) for t in draw(st.lists(rel, min_size=1, max_size=3))])
+
+
+def char_key(cv):
+    return cv.char_class, cv.fibers, cv.points, cv.zero_section
+
+
+class TestNormalFormOracle:
+    """The order owner, the revisit proof and the level lcm against the
+    Mora-style reduction with its pool and the lcm over every digit, within
+    bounds small enough for a test."""
+
+    BOUNDS = Bounds(max_order=6, max_xdeg=6, max_steps=100)
+    DEEP = Bounds(max_order=6, max_xdeg=6, max_steps=100, precision=60)
+    # room for the oracle to run a cycle until its precision cap
+    CYCLING = Bounds(max_order=6, max_xdeg=6, max_steps=10**4, precision=60)
+    # room for any descent: between two p-divisions the mod-p leading data
+    # strictly fall, through at most 7*7 values in BOUNDS, and 20 divisions
+    # reach the cap, so no normal form takes 2000 steps
+    ROOMY = Bounds(max_order=6, max_xdeg=6, max_steps=2000)
+
+    @settings(max_examples=12, deadline=None)
+    @given(random_modules())
+    @example(module(3, 0, D(3) * D(3) * DiffOp.scalar(-3, 3, 0),
+                    DiffOp(3, 0, 1, {(0,): Poly.const(-2), (2,): Poly(1, {(2,): 2}), (3,): Poly.const(1)})))
+    def test_complete_answers_agree(self, M):
+        zeros = []
+
+        def recording(P, basis, bounds):
+            R = _normal_form(P, basis, bounds)
+            if R.is_zero():
+                zeros.append((P, list(basis)))
+            return R
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(charvar, "_normal_form", recording)
+            new = char_variety(M, self.BOUNDS)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(charvar, "_normal_form", _normal_form_with_pool)
+            mp.setattr(charvar, "leading_lcm", _lcm_over_every_digit)
+            old = char_variety(M, self.BOUNDS)
+        if old.complete and not new.complete:
+            # an S-pair that the lcm over every digit never formed may need a
+            # long p-adic descent (see test_true_s_pair_needs_a_long_descent)
+            new = char_variety(M, self.ROOMY)
+        if old.complete:
+            assert new.complete and char_key(new) == char_key(old)
+        # a zero that stands at precision 60 comes from a revisit, an exact
+        # cancellation or the cap there; the oracle takes the same path, runs
+        # a revisit's cycle again and again, and reaches zero at its cap
+        for P, basis in zeros:
+            try:
+                proved = _normal_form(P, basis, self.DEEP).is_zero()
+            except BoundsExhausted:
+                proved = False
+            if proved:
+                assert _normal_form_with_pool(P, basis, self.CYCLING).is_zero()
+
+
+def test_true_s_pair_needs_a_long_descent():
+    # The S-pair of -2*d^2 and the relation of order 3 is formed at order 3
+    # (at order 5 over every digit, where the basis completed in 3 pairs).
+    # Its normal form divides by p about every 21 steps while its x-degree
+    # grows, and only the precision cap (20 divisions) ends it: past the
+    # default 400 steps, so the basis is complete only with more steps, and
+    # then with the Char of the lcm over every digit.
+    M = module(3, 0, D(3) * D(3) * DiffOp.scalar(-2, 3, 0), DiffOp(3, 0, 1, {
+        (1,): Poly(1, {(1,): 2, (2,): -3}), (2,): Poly(1, {(2,): 1}), (3,): Poly(1, {(0,): -1, (1,): 2}),
+    }))
+    sb = order_standard_basis(M)
+    assert (sb.complete, sb.notes) == (False, ["normal form exceeded the step budget"] * 3)
+    cv = char_variety(M, Bounds(max_steps=500))
+    assert cv.complete and char_key(cv) == ("zero-section", [], [], True)
 
 
 # -- characteristic varieties -------------------------------------------------------

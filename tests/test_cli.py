@@ -174,6 +174,17 @@ class TestCommands:
         data = json.loads(out)
         assert data["char_class"] == "fiber-set" and data["fibers"] == ["x + 1"]
 
+    def test_char_unit_ideal_through_the_level_lcm(self, capsys):
+        # -2 = h - (2x^2 + d)*d^2 lies in the ideal, found by the S-pair of
+        # d^2 and d^3 at order 3 (the lcm over every digit took order 5 and
+        # left the basis incomplete: "soundness re-check failed on a generator")
+        code, out, _ = run(
+            capsys, "char", "--p", "3", "--rel=-3*d1^2", "--rel=-2 + 2*x1^2*d1^2 + d1^3",
+        )
+        assert code == EXIT_OK
+        assert "char_class: empty" in out.splitlines()
+        assert "complete: True" in out.splitlines()
+
     def test_member_example(self, capsys):
         # oracle: the inverse localizer lies in the intermediate ring
         code, out, _ = run(
@@ -214,9 +225,23 @@ class TestCommands:
         assert json.loads(out)["betas"] == expected
 
     def test_seed_flag_is_gone(self, capsys):
+        code, out, err = run(capsys, "mul", "--p", "2", "--expr", "d1", "--seed", "3")
+        assert (code, out, err) == (EXIT_ERROR, "", "error: unrecognized arguments: --seed 3\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["char", "--p", "x", "--rel", "d1"], "argument --p: invalid int value: 'x'"),
+        (["char", "--p", "2"], "the following arguments are required: --rel"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error_is_one_error_line(self, capsys, argv, message):
+        # exit 2 is kept for partial answers
+        assert run(capsys, *argv) == (EXIT_ERROR, "", f"error: {message}\n")
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["mul", "--p", "2", "--expr", "d1", "--seed", "3"])
-        assert exc.value.code == 2
+            main(["char", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: microdiff char")
 
     def test_invert_unbounded_exit_2(self, capsys):
         code, out, _ = run(
@@ -550,6 +575,14 @@ class TestConfig:
         )
         assert code == EXIT_OK
         assert json.loads(out)["ok"]
+
+    def test_unknown_config_key_one_error_line(self, capsys, tmp_path):
+        cfg = tmp_path / "microdiff.cfg"
+        cfg.write_text("bogus=1\n")
+        code, out, err = run(
+            capsys, "char", "--p", "2", "--rel", "d1 - x1", "--config", str(cfg),
+        )
+        assert (code, out, err) == (EXIT_ERROR, "", "error: unrecognized arguments: --bogus=1\n")
 
     def test_unreadable_config_one_error_line(self, capsys, tmp_path):
         code, out, err = run(

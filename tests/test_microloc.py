@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import random
@@ -165,6 +166,22 @@ def assert_constant_factor_leaves_the_product(P, S, c):
         assert got.terms == want.terms
         assert list(got.terms) == list(want.terms)
         assert got.floor == want.floor
+
+
+@contextlib.contextmanager
+def counting_commutators():
+    """Count DiffOp.commutator calls in the block: yields a one-element list
+    holding the running count."""
+    calls = [0]
+    commutator = DiffOp.commutator
+
+    def counted(self, other):
+        calls[0] += 1
+        return commutator(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DiffOp, "commutator", counted)
+        yield calls
 
 
 def nonzero(buckets):
@@ -457,13 +474,19 @@ class TestMultiply:
 
     @settings(max_examples=60, deadline=None)
     @given(localizer_micro(), st.sampled_from(NONZERO_CONSTANTS))
+    # refused only after 109 commutators, some 30 s, when every exact-floor
+    # push searched up to a step bound
+    @example(MicroOp(XI3, 0, 2, {((20,), 3): Poly.var(power=-1)}, floor=-math.inf, laurent=True), 1)
     def test_a_constant_factor_leaves_the_product_on_both_charts(self, P, c):
-        try:
-            micro_multiply(P, P)
-        except SearchBoundExceeded:  # an exact floor and 1/x: ad_T never ends
-            with pytest.raises(SearchBoundExceeded):
-                micro_multiply(P, P.scale(c))
-            return
+        with counting_commutators() as calls:
+            try:
+                micro_multiply(P, P)
+            except SearchBoundExceeded:  # an exact floor and 1/x: ad_T never ends
+                # decided before the first commutator of the one push
+                assert len(P.terms) > 1 or calls == [0]
+                with pytest.raises(SearchBoundExceeded):
+                    micro_multiply(P, P.scale(c))
+                return
         assert_constant_factor_leaves_the_product(P, P, c)
 
     def test_associativity(self):
@@ -771,6 +794,67 @@ class TestPushSeries:
         signed = data.draw(st.booleans())
         got = _push(T, i, Q, floor, T.order(), signed, {})
         assert got == push_in_one_pass(T, i, Q, floor, T.order(), signed)
+
+
+def _push_by_search(T, i, Q, floor, korder, signed, memo):
+    """_push as it was before nilpotency was decided up front: at an exact
+    floor every T is searched, and SearchBoundExceeded comes after
+    4*(|ord D| + xdeg D + 8) commutators."""
+    if Q.is_zero():
+        return {}
+    cur = {0: Q}
+    for remaining in range(i - 1, -1, -1):
+        nxt = {}
+        for t, D in cur.items():
+            c = D
+            s = 0
+            while not c.is_zero():
+                if c.order() - (t + s + 1 + remaining) * korder < floor:
+                    break
+                if floor == -math.inf and s > 4 * (abs(D.order()) + D.max_xdeg() + 8):
+                    raise SearchBoundExceeded("commutation series does not terminate")
+                piece = c if (s % 2 == 0 or not signed) else -c
+                key = t + s + 1
+                nxt[key] = nxt.get(key, DiffOp.zero(D.p, D.m, D.d)) + piece
+                ad = memo.get(c)
+                if ad is None:
+                    ad = memo[c] = T.commutator(c)
+                c = ad
+                s += 1
+        cur = {t: D for t, D in nxt.items() if not D.is_zero()}
+    return cur
+
+
+class TestExactFloorRefusal:
+    """At an exact floor and a one-term localizer c*D^<m><K> with c a
+    constant, _push decides nilpotency before any commutator; the search up
+    to a step bound gives the same outcome."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_early_refusal_is_the_search_outcome(self, data):
+        p = data.draw(st.sampled_from([2, 3]))
+        m = data.draw(st.integers(0, 1))
+        mp = data.draw(st.integers(m, 1))
+        d = data.draw(st.integers(1, 2))
+        xi = SymbolPoly.xi(p, 0, 1, data.draw(st.integers(0, d - 1)), d)
+        T = build_theta_tilde(xi.scale(data.draw(st.sampled_from([1, -3]))), m, mp).op
+        polys = st.dictionaries(
+            st.tuples(*[st.integers(-1, 2)] * d), st.integers(-3, 3), min_size=1, max_size=2
+        ).map(lambda c: Poly(d, c))
+        Q = DiffOp(p, m, d, data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * d), polys, min_size=1, max_size=2)))
+        i = data.draw(st.integers(0, 2))
+        signed = data.draw(st.booleans())
+        args = (T, i, Q, -math.inf, T.order(), signed)
+        try:
+            want = _push_by_search(*args, {})
+        except SearchBoundExceeded:
+            with counting_commutators() as calls, pytest.raises(SearchBoundExceeded):
+                _push(*args, {})
+            assert calls == [0]
+        else:
+            assert _push(*args, {}) == want
 
 
 class TestOreWitness:

@@ -5,7 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microdiff.diffop import DiffOp, build_theta_tilde, render_diffop
-from microdiff.padic import divided_lift, level_factorial_ratio_exact, valuation
+from microdiff.padic import (
+    binomial_structure_constant_exact,
+    divided_lift,
+    level_factorial_ratio_exact,
+    valuation,
+)
 from microdiff.errors import InvalidParameter, LevelMismatch, NotHomogeneous
 from microdiff.microloc import MicroOp
 from microdiff.polynomials import Poly
@@ -17,6 +22,8 @@ from microdiff.pseudopoly import (
     digit_form,
     digit_monomial_constant,
     digits_to_k,
+    leading_divides,
+    leading_lcm,
     normalize,
     rational_level_change,
     theta_variants,
@@ -65,6 +72,57 @@ class TestDigits:
             for i in range(3):
                 c = divided_lift(p**i, p, i + 1) ** p / divided_lift(p ** (i + 1), p, i + 1)
                 assert valuation(c, p) == 1
+
+
+def divides_by_unit_constant(a, n, p, m):
+    """Oracle: xi^<m><a> divides xi^<m><n> up to a unit iff a <= n and the
+    structure constant of xi^<m><n-a> * xi^<m><a> is a p-adic unit (the rule
+    the standard-basis reduction used to memoize)."""
+    return a <= n and valuation(binomial_structure_constant_exact(p, m, (n - a,), (a,)), p) == 0
+
+
+PRIMES_AND_LEVELS = st.tuples(st.sampled_from([2, 3, 5]), st.integers(0, 3))
+
+
+class TestLeadingOrder:
+    """The level-m leading-term order of ``leading_divides`` and its lcm."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(PRIMES_AND_LEVELS, st.integers(0, 300), st.integers(0, 300))
+    def test_divides_iff_the_structure_constant_is_a_unit(self, pm, a, n):
+        p, m = pm
+        assert leading_divides(a, n, p, m) == divides_by_unit_constant(a, n, p, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(PRIMES_AND_LEVELS, st.integers(0, 60), st.integers(0, 60))
+    def test_lcm_is_the_least_upper_bound(self, pm, a, b):
+        p, m = pm
+        n = leading_lcm(a, b, p, m)
+        assert leading_divides(a, n, p, m) and leading_divides(b, n, p, m)
+        # every common multiple up to a + b, which is one, lies above n
+        for c in range(a + b + 1):
+            if leading_divides(a, c, p, m) and leading_divides(b, c, p, m):
+                assert leading_divides(n, c, p, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(PRIMES_AND_LEVELS, st.lists(st.integers(0, 200), min_size=3, max_size=3))
+    def test_divides_is_transitive(self, pm, axy):
+        # a chain a, b, c of multiples, built through the lcm
+        p, m = pm
+        a, x, y = axy
+        b = leading_lcm(a, x, p, m)
+        c = leading_lcm(b, y, p, m)
+        assert leading_divides(a, b, p, m) and leading_divides(b, c, p, m)
+        assert leading_divides(a, c, p, m)
+
+    @pytest.mark.parametrize("p,m,a,b,n", [
+        (3, 0, 2, 3, 3),  # level 0: the plain max, not the digit-wise 5
+        (2, 0, 1, 2, 2),
+        (2, 1, 1, 2, 3),  # one low digit: 1 = (1, 0) and 2 = (0, 1)
+        (3, 1, 5, 7, 8),  # (2, 1) and (1, 2) give (2, 2)
+    ])
+    def test_lcm_by_hand(self, p, m, a, b, n):
+        assert leading_lcm(a, b, p, m) == n
 
 
 class TestNormalize:

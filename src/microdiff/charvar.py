@@ -127,12 +127,9 @@ def _shifted(el, n: int, deg: int):
     p of that leading term's coefficient, c(a, ng) * lc(fg)."""
     g, ng, fg, deg_fg, _ = el
     p, m = g.p, g.m
-    a, s = n - ng, deg - deg_fg
-    mono = DiffOp.dx(p, m, a) if a else DiffOp.one(p, m)
-    if s:
-        mono = DiffOp.x(p, m, power=s) * mono
+    a = n - ng
     c = binomial_structure_constant_exact(p, m, (a,), (ng,))
-    return mono * g, residue(c * _lc(fg), p)
+    return DiffOp(p, m, 1, {(a,): Poly.var(power=deg - deg_fg)}) * g, residue(c * _lc(fg), p)
 
 
 def _normal_form(P: DiffOp, basis, bounds: Bounds):
@@ -143,6 +140,10 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
     divisions: P - h = p^k P with h in the ideal, and P = h / (1 - p^k) lies
     in the ideal, 1 - p^k being a unit of Z_(p).  A revisit returns zero.
 
+    A step subtracts lam.x^s D^<m><a> g, lam the lift in [0, p) of lc(f)/u
+    mod p.  Any lift cancels the same mod-p leading term, and two lifts differ
+    by a multiple of x^s D^<m><a> g, in the ideal; so any one lift is sound.
+
     Returns the (integral, content-0) remainder, or raises BoundsExhausted
     when an intermediate operator leaves the bounded region.
     """
@@ -150,8 +151,8 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
     steps = 0
     divisions = 0  # cumulative p-content cleared; capped by the precision
     seen = set()
-    v = P.p_valuation()
     while not P.is_zero():
+        v = P.p_valuation()
         if v:
             divisions += v
             P = P.scale(Fraction(1, 1) / Fraction(p) ** v)
@@ -170,13 +171,7 @@ def _normal_form(P: DiffOp, basis, bounds: Bounds):
             return P
         pick = min(fits, key=lambda el: el[4])  # least ecart, the first among equals
         red, u = _shifted(pick, n, deg)
-        lam = residue(_lc(f) / u, p)
-        # both mod-p lifts of the cancellation factor kill the leading term;
-        # keep whichever leaves more p-content behind (exact zero preferred)
-        P1 = P - red.scale(lam)
-        P2 = P - red.scale(lam - p)
-        v1, v2 = P1.p_valuation(), P2.p_valuation()
-        P, v = (P2, v2) if v2 > v1 else (P1, v1)
+        P = P - red.scale(residue(_lc(f) / u, p))
         steps += 1
         if steps > bounds.max_steps:
             raise BoundsExhausted("normal form exceeded the step budget")
@@ -213,12 +208,12 @@ def order_standard_basis(M: CyclicModule, bounds: Bounds = Bounds()) -> OrderSta
         queue_pairs(idx, range(idx + 1, len(basis)))
 
     while queue:
-        item = queue.popleft()
-        checked += 1
-        if checked > bounds.max_steps:
+        if checked == bounds.max_steps:
             complete = False
             notes.append("pair queue truncated by step budget")
             break
+        item = queue.popleft()
+        checked += 1
         try:
             if item[0] == "overflow":
                 _, idx, i, e = item
@@ -454,9 +449,7 @@ def verify_counterexample(p: int, n_max: int = 30) -> dict:
         sgn = Fraction((-1) ** n)
         ga = A[n].scale(sgn) - Poly.var(power=n - 1)
         gb = B[n].scale(sgn) - Poly.var(power=n)
-        if not (ga.degree() < n - 1 or ga.is_zero()) or not (
-            gb.degree() < n or gb.is_zero()
-        ):
+        if ga.degree() >= n - 1 or gb.degree() >= n:  # the zero Poly has degree -inf
             closed_ok = False
             checks.append({"check": "closed-form", "n": n, "ok": False})
             break
@@ -502,9 +495,9 @@ def verify_counterexample(p: int, n_max: int = 30) -> dict:
 
 
 # No mprime_max above this: one Char per level.  On one Xeon core `stability
-# --p 2 --rel "d1 - x1"` took 0.22 s of CPU at 16, and `--p 3 --rel
-# "x1^2*d1^2 - x1"` 0.6 s at 4 and 2.2 s at 16; but a costlier module takes
-# seconds a level: `--p 5` on the same relation took 58 s at 8.
+# --p 2 --rel "d1 - x1"` took 0.20 s of CPU at 16, and `--p 3 --rel
+# "x1^2*d1^2 - x1"` 0.5 s at 4 and 1.5 s at 16; but a costlier module takes
+# seconds a level: `--p 5` on the same relation took 34 s at 8.
 MAX_STABILITY_MPRIME = 16
 
 

@@ -254,16 +254,22 @@ class _Parser:
     def tinv_atom(self, power):
         self.take("op", "(")
         theta = self.symbol()
-        args = []
+        levels, free = {}, ["m", "mprime"]  # the levels open to the next argument
         while self.peek()[:2] == ("op", ","):
             self.take("op", ",")
-            if self.peek()[0] == "name":  # keyword form m=0
+            tok = self.peek()
+            if tok[0] == "name":  # keyword form m=0: from here on, by name only
                 self.take("name")
                 self.take("op", "=")
-            args.append(self.take("num")[1])
+                free = [tok[1]] if tok[1] in ("m", "mprime") and tok[1] not in levels else []
+            if not free:
+                raise ExprSyntaxError(
+                    "Tinv takes the levels m and mprime, each at most once, by position "
+                    "before any by name", span=(tok[2], tok[2] + len(str(tok[1]))))
+            levels[free.pop(0)] = self.take("num")[1]
         self.take("op", ")")
-        m_lvl = args[0] if args else self.s.level
-        mprime = args[1] if len(args) > 1 else m_lvl
+        m_lvl = levels.get("m", self.s.level)
+        mprime = levels.get("mprime", m_lvl)
         from .microloc import MicroOp
 
         return MicroOp(

@@ -16,7 +16,7 @@ from microdiff.errors import BoundsExhausted, InvalidParameter, LevelMismatch
 from microdiff.microloc import try_invert
 from microdiff.padic import binomial_structure_constant_exact, residue, valuation
 from microdiff.polynomials import Poly
-from microdiff.pseudopoly import SymbolPoly
+from microdiff.pseudopoly import SymbolPoly, leading_divides
 from microdiff.charvar import (
     Bounds,
     CyclicModule,
@@ -69,6 +69,16 @@ class TestOrderStandardBasis:
     def test_bad_prime_or_level_rejected(self, p, m):
         with pytest.raises(InvalidParameter):
             CyclicModule(p, m, [])
+
+    @pytest.mark.parametrize("rel, error, message", [
+        ("d", TypeError, "relations must be DiffOps"),
+        (DiffOp.dx(3, 0), ValueError, "relation level/prime mismatch"),
+        (DiffOp.dx(2, 1), ValueError, "relation level/prime mismatch"),
+        (DiffOp.dx(2, 0, 1, 0, 2), ValueError, r"only the affine line \(d = 1\) is supported"),
+    ], ids=["not-a-diffop", "prime-mismatch", "level-mismatch", "plane"])
+    def test_bad_relation_rejected(self, rel, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            CyclicModule(2, 0, [rel])
 
     def test_denominators_cleared(self):
         M = module(2, 0, (D(2) - X(2)).scale(Fraction(1, 4)))
@@ -137,6 +147,70 @@ def test_multi_relation_standard_basis_is_pinned(case):
 # -- the normal form against its Mora-style oracle -----------------------------------
 
 
+def _shifted_by_products(el, n, deg):
+    """_shifted as it was: x^s D^<m><a> built by up to two products, then
+    one more product with g."""
+    g, ng, fg, deg_fg, _ = el
+    p, m = g.p, g.m
+    a, s = n - ng, deg - deg_fg
+    mono = DiffOp.dx(p, m, a) if a else DiffOp.one(p, m)
+    if s:
+        mono = DiffOp.x(p, m, power=s) * mono
+    c = binomial_structure_constant_exact(p, m, (a,), (ng,))
+    return mono * g, residue(c * _lc(fg), p)
+
+
+def _two_lift_step(P, pick, n, deg, f):
+    """A normal-form step as it was: both mod-p lifts lam and lam - p of the
+    cancellation factor, keeping whichever leaves more p-content behind.
+    Returns the new P and its p-content."""
+    red, u = _shifted_by_products(pick, n, deg)
+    lam = residue(_lc(f) / u, P.p)
+    P1 = P - red.scale(lam)
+    P2 = P - red.scale(lam - P.p)
+    v1, v2 = P1.p_valuation(), P2.p_valuation()
+    return (P2, v2) if v2 > v1 else (P1, v1)
+
+
+def _normal_form_two_lifts(P, basis, bounds):
+    """_normal_form as it was, with the reducer of three products and the
+    step of two lifts."""
+    p = P.p
+    steps = 0
+    divisions = 0
+    seen = set()
+    v = P.p_valuation()
+    while not P.is_zero():
+        if v:
+            divisions += v
+            P = P.scale(Fraction(1, 1) / Fraction(p) ** v)
+        if P in seen or divisions >= bounds.precision:
+            return DiffOp.zero(p, P.m, P.d)
+        seen.add(P)
+        if P.order() > bounds.max_order or P.max_xdeg() > bounds.max_xdeg:
+            raise BoundsExhausted(
+                f"normal form left the bounded region "
+                f"(order {P.order()}, x-degree {P.max_xdeg()})"
+            )
+        _, n, f, deg, _ = _element(P)
+        fits = [el for el in basis if el[3] <= deg and leading_divides(el[1], n, p, P.m)]
+        if not fits:
+            return P
+        P, v = _two_lift_step(P, min(fits, key=lambda el: el[4]), n, deg, f)
+        steps += 1
+        if steps > bounds.max_steps:
+            raise BoundsExhausted("normal form exceeded the step budget")
+    return P
+
+
+def basis_by_two_lifts(M, bounds):
+    """order_standard_basis with the reducer and the normal form as they were."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charvar, "_shifted", _shifted_by_products)
+        mp.setattr(charvar, "_normal_form", _normal_form_two_lifts)
+        return order_standard_basis(M, bounds)
+
+
 def _normal_form_with_pool(P, basis, bounds):
     """_normal_form as it was with Mora's pool of intermediate reducers: the
     fit test is a memoized structure-constant valuation, every intermediate
@@ -183,12 +257,7 @@ def _normal_form_with_pool(P, basis, bounds):
         if pick is None:
             return P
         extra.append(el)
-        red, u = _shifted(pick, n, deg)
-        lam = residue(_lc(f) / u, p)
-        P1 = P - red.scale(lam)
-        P2 = P - red.scale(lam - p)
-        v1, v2 = P1.p_valuation(), P2.p_valuation()
-        P, v = (P2, v2) if v2 > v1 else (P1, v1)
+        P, v = _two_lift_step(P, pick, n, deg, f)
         steps += 1
         if steps > bounds.max_steps:
             raise BoundsExhausted("normal form exceeded the step budget")
@@ -274,6 +343,35 @@ class TestNormalFormOracle:
                 proved = False
             if proved:
                 assert _normal_form_with_pool(P, basis, self.CYCLING).is_zero()
+
+
+class TestOneLiftOracle:
+    """The reducer of one product and the step of one lift against the three
+    products and the two lifts they replaced.  The lifts differ by an ideal
+    element, so a basis that the two lifts complete comes out the same."""
+
+    BOUNDS = Bounds(max_order=6, max_xdeg=6, max_steps=100)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_modules(), st.integers(0, 3), st.integers(0, 3))
+    def test_reducer_is_the_same_operator(self, M, a, s):
+        for g in M.relations:
+            el = _element(g)
+            n, deg = el[1] + a, el[3] + s
+            assert _shifted(el, n, deg) == _shifted_by_products(el, n, deg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_modules())
+    def test_complete_bases_agree(self, M):
+        old = basis_by_two_lifts(M, self.BOUNDS)
+        if not old.complete:
+            return
+        new = order_standard_basis(M, self.BOUNDS)
+        assert new.complete
+        assert [str(g) for g in new.basis] == [str(g) for g in old.basis]
+        assert (new.leading, new.pairs_checked, new.notes) == (old.leading, old.pairs_checked, old.notes)
+        chart = [charvar._reduced_chart_generators(sb, M.p, M.m) for sb in (new, old)]
+        assert charvar._classify(chart[0], M.p) == charvar._classify(chart[1], M.p)
 
 
 def test_true_s_pair_needs_a_long_descent():
@@ -532,6 +630,22 @@ class TestIncompleteCertificates:
         assert not sb.complete
         assert sb.notes == ["pair queue truncated by step budget"]
         assert not char_variety(self.d_minus_x_level2(), Bounds(max_steps=1)).complete
+
+    def test_truncated_queue_counts_the_pairs_it_checked(self, monkeypatch):
+        # each pair checked runs one normal form; an incomplete basis runs no re-check
+        M = module(3, 1, DiffOp(3, 1, 1, {(2,): Poly.var(power=2), (0,): Poly.var().scale(-1)}))
+        calls = []
+
+        def counting(P, basis, bounds):
+            calls.append(P)
+            return _normal_form(P, basis, bounds)
+
+        monkeypatch.setattr(charvar, "_normal_form", counting)
+        for k in (1, 2, 3):
+            calls.clear()
+            sb = order_standard_basis(M, Bounds(max_steps=k))
+            assert sb.notes == ["pair queue truncated by step budget"]
+            assert sb.pairs_checked == len(calls) == k
 
     def test_normal_form_leaves_bounded_region(self):
         sb = order_standard_basis(self.d_minus_x_level2(), Bounds(max_order=2))

@@ -92,6 +92,28 @@ class TestParser:
         assert isinstance(v, MicroOp)
         assert v.level == 0 and list(v.terms) == [((0,), 1)]
 
+    def test_tinv_levels_bind_by_name(self):
+        assert parse("Tinv(xi1, mprime=1, m=0)", self.s) == parse("Tinv(xi1, 0, 1)", self.s)
+        assert parse("Tinv(xi1, 0, mprime=1)", self.s) == parse("Tinv(xi1, 0, 1)", self.s)
+        # an omitted m is the session level
+        v = parse("Tinv(xi1, mprime=2)", Session(p=2, level=1))
+        assert (v.level, v.mprime) == (1, 2)
+
+    @pytest.mark.parametrize("text, at", [
+        ("Tinv(xi1, foo=1, bar=1)", "foo"),
+        ("Tinv(xi1, m=0, m=1)", "m=1"),
+        ("Tinv(xi1, 0, m=1)", "m=1"),
+        ("Tinv(xi1, m=0, 1)", "1)"),
+        ("Tinv(xi1,0,1,5,7)", "5"),
+    ], ids=["unknown-name", "repeated-name", "repeated-by-position", "positional-after-keyword",
+            "third-level"])
+    def test_bad_tinv_levels(self, text, at):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text, self.s)
+        assert str(exc.value) == (
+            "Tinv takes the levels m and mprime, each at most once, by position before any by name")
+        assert exc.value.span[0] == text.index(at)
+
     def test_tinv_power_and_levels(self):
         v = parse("Tinv2(xi1,1,2)", self.s)
         assert v.level == 1 and v.mprime == 2
@@ -422,6 +444,20 @@ class TestBoundary:
         ("supp", "--p", "2", "--level", "1", "--rel", "d1 - x1", "--at-levels", "0"),
         ("char", "--p", "2", "--level", "1", "--rel", "x1*d1 - 1", "--precision", "0"),
         ("char", "--p", "2", "--rel", "d1 - x1", "--max-order", "-1"),
+        ("mul", "--p", "2", "--expr", "Tinv(xi1, foo=1, bar=1)"),
+        ("mul", "--p", "2", "--expr", "Tinv(xi1, m=0, m=1)"),
+        ("mul", "--p", "2", "--expr", "Tinv(xi1, m=0, 1)"),
+        ("mul", "--p", "2", "--expr", "Tinv(xi1,0,1,5,7)"),
+        ("invert", "--p", "2", "--expr", "d1 - d1", "--mprime", "0"),
+        ("symbol", "--p", "2", "--expr", "Tinv(xi1,0,0)"),
+        ("levelmap", "--p", "2", "--expr", "Tinv(xi1,0,0)", "--mprime", "1"),
+        ("char", "--p", "2", "--rel", "3"),
+        ("psi", "--p", "2", "--expr", "Tinv(xi1,0,1)", "--m", "1"),
+        ("member", "--p", "2", "--P", "Tinv(xi1,0,1)", "--m", "0", "--mprime", "2"),
+        ("mul", "--p", "2", "--expr", "D1[1,2"),
+        ("invert", "--p", "2", "--expr", "d1 + d1^2*Tinv(x1*xi1,0,0)", "--theta", "x1*xi1",
+         "--mprime", "0"),
+        ("invert", "--p", "2", "--expr", "d1", "--theta", "x1*xi1", "--mprime", "0"),
     ]
 
     @pytest.mark.parametrize(
@@ -437,7 +473,12 @@ class TestBoundary:
              "tinv-localizer-order-above-cap", "normcalc-mprime-above-cap",
              "window-floor-below-cap", "levelmap-mprime-above-cap",
              "stability-mprime-above-cap", "invert-other-localizer",
-             "supp-level-below-module", "precision-0", "max-order-negative"],
+             "supp-level-below-module", "precision-0", "max-order-negative",
+             "tinv-unknown-keyword", "tinv-repeated-keyword", "tinv-positional-after-keyword",
+             "tinv-third-level", "invert-zero-operator", "symbol-microop", "levelmap-microop",
+             "char-scalar-relation", "psi-raises-level", "member-presentation-above-mprime",
+             "unclosed-bracket", "invert-top-symbol-not-monomial",
+             "invert-leading-product-not-scalar"],
     )
     def test_one_error_line_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -575,6 +616,15 @@ class TestConfig:
         )
         assert code == EXIT_OK
         assert json.loads(out)["ok"]
+
+    def test_comment_lines_are_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "microdiff.cfg"
+        cfg.write_text("# budgets\n\n  # bogus=1\nprecision=10\n")
+        code, out, _ = run(
+            capsys, "char", "--p", "2", "--rel", "d1 - x1", "--config", str(cfg), "--json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["bounds"]["precision"] == 10
 
     def test_unknown_config_key_one_error_line(self, capsys, tmp_path):
         cfg = tmp_path / "microdiff.cfg"

@@ -18,6 +18,7 @@ from microdiff.errors import (
     LevelMismatch,
     NotHomogeneous,
     NotIntegral,
+    SearchBoundExceeded,
     ZeroOperator,
 )
 from microdiff.padic import divided_lift, level_shift_constant
@@ -341,6 +342,11 @@ class TestCentralLevel:
 
     def test_never_central_at_same_level(self):
         assert central_level_for(SymbolPoly.xi(2, 0), 0, 0) > 0
+
+    def test_search_bound(self):
+        # [d, x] = 1 is no multiple of p, so m' = 0 is not central
+        with pytest.raises(SearchBoundExceeded, match="with m' <= 0"):
+            central_level_for(SymbolPoly.xi(2, 0), 0, 0, search_bound=0)
 
 
 class TestReduceMod:

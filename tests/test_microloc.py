@@ -318,6 +318,17 @@ class TestPresentation:
             back = convert_presentation(convert_presentation(P, "right"), "left")
             assert back == P, f"trial {trial}"
 
+    def test_bad_side_rejected(self):
+        with pytest.raises(ValueError, match="^side must be 'left' or 'right'$"):
+            MicroOp(XI2, 0, 0, side="up")
+        with pytest.raises(ValueError, match="^side must be 'left' or 'right'$"):
+            convert_presentation(MicroOp(XI2, 0, 0, {((0,), 1): 1}), "up")
+
+    def test_from_diffop_across_spaces_rejected(self):
+        with pytest.raises(IncompatibleLocalizer,
+                           match="^operator and theta live on different spaces$"):
+            MicroOp.from_diffop(DiffOp.dx(3, 0), XI2, 0)
+
     def test_constant_coefficient_side_invariant(self):
         P = MicroOp(XI2, 0, 1, {((3,), 1): 5})
         R = convert_presentation(P, "right")
@@ -591,6 +602,11 @@ class TestInversion:
         with pytest.raises(IncompatibleLocalizer,
                            match=r"^P is presented over theta = xi, m' = 1, not theta = 2\*xi, m' = 1$"):
             try_invert(P, XI2.scale(2), 1, floor=-6)
+
+    def test_inversion_is_for_the_line(self):
+        xi1 = SymbolPoly.xi(2, 0, 1, 0, 2)
+        with pytest.raises(SymbolMismatch, match="^inversion is implemented for d = 1$"):
+            try_invert(DiffOp.dx(2, 0, 1, 0, 2), xi1, 0, floor=-4)
 
     def test_window_floor_cap(self):
         with pytest.raises(InvalidParameter, match=r"^window floor -33 below -32$"):

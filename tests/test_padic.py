@@ -146,3 +146,17 @@ class TestBinomialConstant:
         a = binomial_structure_constant_exact(2, 1, (2,), (5,))
         b = binomial_structure_constant_exact(2, 1, (3,), (1,))
         assert c2 == a * b
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (factorial_valuation, (2, -1), "n must be nonnegative"),
+    (level_factorial_ratio_exact, (2, 1, 0), "need 0 <= m <= m'"),
+    (level_factorial_ratio_exact, (2, -1, 0), "need 0 <= m <= m'"),
+    (binomial_structure_constant_exact, (2, 0, (1,), (1, 1)), "multi-index length mismatch"),
+    (binomial_structure_constant_exact, (2, 0, (-1,), (1,)), "multi-indices must be nonnegative"),
+], ids=["factorial-negative-n", "ratio-m-above-mprime", "ratio-m-negative",
+        "binomial-length-mismatch", "binomial-negative-index"])
+def test_bad_arguments_are_refused(call, args, message):
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    assert str(exc.value) == message

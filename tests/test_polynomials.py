@@ -104,3 +104,13 @@ class TestUnits:
     def test_unit_on_the_chart(self, coeffs, plain, laurent):
         P = Poly(1, coeffs)
         assert P.is_unit() is plain and P.is_unit(laurent=True) is laurent
+
+
+class TestArgumentChecks:
+    def test_variable_count_mismatch(self):
+        with pytest.raises(ValueError, match="^variable-count mismatch$"):
+            Poly.var() + Poly.var(0, 2)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError, match="^division by the zero polynomial$"):
+            Poly.var().divide_exact(Poly.zero(1))

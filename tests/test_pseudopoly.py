@@ -66,6 +66,10 @@ class TestDigits:
         u = digit_monomial_constant((0, 2), 2, 1)
         assert u == 3
 
+    def test_one_digit_per_generator(self):
+        with pytest.raises(ValueError, match=r"^need one digit per generator index 0\.\.m$"):
+            digit_monomial_constant((1,), 2, 1)
+
     def test_overflow_carry_constant(self):
         # relation constant (p^(i+1))!/(p^i!)^p has valuation exactly 1
         for p in (2, 3, 5):
@@ -349,6 +353,10 @@ class TestThetaVariants:
         bad = SymbolPoly(2, 0, 1, {(1,): Poly.const(1), (2,): Poly.const(1)})
         with pytest.raises(NotHomogeneous):
             theta_variants(bad, 0, 1)
+
+    def test_theta_above_level_0_rejected(self):
+        with pytest.raises(LevelMismatch, match="^theta must be a level-0 symbol$"):
+            check_theta(SymbolPoly.xi(2, 1), 1, 1)
 
     def test_degree_zero_rejected(self):
         with pytest.raises(NotHomogeneous):

@@ -47,7 +47,9 @@ class CyclicModule:
 
     The p-torsion-free lattice is the image of the integral presentation
     after clearing denominators and p-content (the natural choice; the
-    variety does not depend on it).
+    variety does not depend on it).  A relation that is not a DiffOp, or
+    not on the line, raises InvalidParameter; one at another level or prime
+    raises LevelMismatch.
     """
 
     def __init__(self, p: int, m: int, relations):
@@ -57,13 +59,13 @@ class CyclicModule:
         rels = []
         for P in relations:
             if not isinstance(P, DiffOp):
-                raise TypeError("relations must be DiffOps")
+                raise InvalidParameter("relations must be DiffOps")
             if P.m != m or P.p != p:
-                raise ValueError("relation level/prime mismatch")
+                raise LevelMismatch("relation level/prime mismatch")
             if P.is_zero():
                 continue
             if P.d != 1:
-                raise ValueError("only the affine line (d = 1) is supported")
+                raise InvalidParameter("only the affine line (d = 1) is supported")
             v = P.p_valuation()
             rels.append(P.scale(Fraction(1, 1) / Fraction(p) ** v))
         self.relations = tuple(rels)

@@ -320,9 +320,11 @@ def _push(T: DiffOp, i: int, Q: DiffOp, floor, korder: int, signed: bool, memo: 
     signed=True expands T^(-1) D = sum_s (-1)^s ad_T^s(D) T^(-s-1), giving
     T^(-i) * Q = sum_t D_t T^(-t); signed=False expands D T^(-1) =
     sum_s T^(-s-1) ad_T^s(D), giving Q * T^(-i) = sum_t T^(-t) D_t.  korder
-    is the order of T; memo maps D -> ad_T(D) = [T, D].  Terms that cannot
-    reach the floor after the remaining passes are pruned.  At an exact
-    floor (-inf), SearchBoundExceeded when ad_T is not nilpotent on a term:
+    is the order of T.  memo maps D -> [T, D] exactly, whatever the floor,
+    so every push past one T may share it, as the products of one
+    ``try_invert`` do.  Terms that cannot reach the floor after the
+    remaining passes are pruned.  At an exact floor (-inf),
+    SearchBoundExceeded when ad_T is not nilpotent on a term:
     for T = c*D^<m><K> with c a constant, at once if a coefficient has a
     negative exponent in an x_j with K_j != 0 (the D-power of ad_T^s(b*D^k)
     that falls by s in coordinate j carries only the s-th x_j-derivative of
@@ -389,16 +391,20 @@ def _right_decompose(D: DiffOp) -> dict:
     return {k: c for k, c in out.items() if not c.is_zero()}
 
 
-def micro_multiply(P: MicroOp, Q: MicroOp) -> MicroOp:
+def micro_multiply(P: MicroOp, Q: MicroOp, *, memo=None) -> MicroOp:
     """Product, presented on P's side, truncated to the combined window.
 
-    The ad_T memo lives for this one call: it is keyed by operator only, so
-    it is valid for a single localizer T and is dropped on return.
+    memo maps D -> [T, D] exactly, with no floor, for P's localizer T only;
+    it is keyed by operator alone, so it may be shared by products over one
+    T (as ``try_invert`` does) and by no others.  A fresh dict is used when
+    none is given.
     """
     P._check(Q)
     if P.side != "left":
         return convert_presentation(
-            micro_multiply(convert_presentation(P, "left"), convert_presentation(Q, "left")),
+            micro_multiply(
+                convert_presentation(P, "left"), convert_presentation(Q, "left"), memo=memo
+            ),
             P.side,
         )
     T = P.localizer().op
@@ -407,7 +413,8 @@ def micro_multiply(P: MicroOp, Q: MicroOp) -> MicroOp:
         return P.with_terms({}, floor=max(P.floor, Q.floor))
     floor = max(P.floor + Q.order(), Q.floor + P.order())
     out = {}
-    memo = {}
+    if memo is None:
+        memo = {}
     for (k1, i1), b1 in P.terms.items():
         left = DiffOp(P.p, P.level, P.d, {k1: b1})
         for (k2, i2), b2 in Q.terms.items():
@@ -519,8 +526,9 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
 
     P may be a DiffOp or a left-presented MicroOp on the localizer (theta,
     mprime); a MicroOp on another is refused with IncompatibleLocalizer
-    before any product.  sigma(P) must be a single monomial with unit
-    coefficient on the chart; otherwise SymbolMismatch.
+    before any product.  P is read in its canonical form, so every
+    presentation of one element gets one verdict.  sigma(P) must be a single
+    monomial with unit coefficient on the chart; otherwise SymbolMismatch.
     The window floor must be a finite integer >= MIN_WINDOW_FLOOR (-32);
     any other is refused with InvalidParameter (``check_window``).  The
     floors of the products inside may drift lower.
@@ -535,6 +543,7 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
             f"P is presented over theta = {P.theta}, m' = {P.mprime}, "
             f"not theta = {theta}, m' = {mprime}"
         )
+    P = P.canonical()
     if P.is_zero():
         raise SymbolMismatch("the zero operator is not invertible")
     check_window(floor)
@@ -551,11 +560,14 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
     if P.d != 1:
         raise SymbolMismatch("inversion is implemented for d = 1")
     P = P.truncate(floor)
+    # one ad_T memo for every product below: all are left-presented over P's
+    # (theta, level, m'), so they share the localizer T
+    memo = {}
     # first approximation: monomial S0 of order -w with P*S0 = 1 + (order < 0)
     t = max(0, -(-w // korder))  # ceil(w / korder), at least 0
     ks = t * korder - w
     S0 = P.with_terms({((ks,), t): 1}, floor=floor)
-    R = micro_multiply(P, S0)
+    R = micro_multiply(P, S0, memo=memo)
     gamma = R.order_part(0)
     if list(gamma.keys()) != [((0,) * P.d, 0)]:
         raise SymbolMismatch("leading product term is not scalar")
@@ -570,19 +582,19 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
         # P*(ginv*S0) = ginv*(P*S0) term for term, with the same floor
         e = R.scale(ginv) - one
     else:  # a unit such as 1/x on the Laurent chart does not commute with P
-        e = micro_multiply(P, S0) - one
+        e = micro_multiply(P, S0, memo=memo) - one
     # geometric series (1+e)^(-1) = sum (-e)^t down to the floor
     acc = one
     termop = one
     while True:
-        termop = micro_multiply(termop, -e)
+        termop = micro_multiply(termop, -e, memo=memo)
         if termop.is_zero() or termop.order() < floor:
             break
         acc = acc + termop
-    S = micro_multiply(S0, acc)
+    S = micro_multiply(S0, acc, memo=memo)
     # certificates: no residual term above the residual's own (drifted) floor
-    left_res = micro_multiply(P, S) - one
-    right_res = micro_multiply(S, P) - one
+    left_res = micro_multiply(P, S, memo=memo) - one
+    right_res = micro_multiply(S, P, memo=memo) - one
     lok = left_res.truncate(left_res.floor + 1).canonical().is_zero()
     rok = right_res.truncate(right_res.floor + 1).canonical().is_zero()
     profile = validate_convergence(S)

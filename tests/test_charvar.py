@@ -71,10 +71,10 @@ class TestOrderStandardBasis:
             CyclicModule(p, m, [])
 
     @pytest.mark.parametrize("rel, error, message", [
-        ("d", TypeError, "relations must be DiffOps"),
-        (DiffOp.dx(3, 0), ValueError, "relation level/prime mismatch"),
-        (DiffOp.dx(2, 1), ValueError, "relation level/prime mismatch"),
-        (DiffOp.dx(2, 0, 1, 0, 2), ValueError, r"only the affine line \(d = 1\) is supported"),
+        ("d", InvalidParameter, "relations must be DiffOps"),
+        (DiffOp.dx(3, 0), LevelMismatch, "relation level/prime mismatch"),
+        (DiffOp.dx(2, 1), LevelMismatch, "relation level/prime mismatch"),
+        (DiffOp.dx(2, 0, 1, 0, 2), InvalidParameter, r"only the affine line \(d = 1\) is supported"),
     ], ids=["not-a-diffop", "prime-mismatch", "level-mismatch", "plane"])
     def test_bad_relation_rejected(self, rel, error, message):
         with pytest.raises(error, match=f"^{message}$"):

@@ -12,6 +12,7 @@ from microdiff.diffop import DiffOp, build_theta_tilde
 from microdiff.errors import (
     IncompatibleLocalizer,
     InvalidParameter,
+    MicrodiffError,
     NotInvertibleAtSymbol,
     SearchBoundExceeded,
     SymbolMismatch,
@@ -151,6 +152,64 @@ def integral_micro_pairs(draw):
     ]
     assume(all(A.is_integral() for A in pair))
     return pair
+
+
+@st.composite
+def inversion_inputs(draw):
+    """try_invert's arguments (P, theta, m', floor, laurent) on either chart:
+    p = 2 or 3, 0 <= m <= m' <= 2, a window floor in -12..-6, theta = xi,
+    or x*xi on the Laurent chart at m' <= 1.  P is c*D^<m><n+s*korder>
+    T^(-s) with c a nonzero constant (on the Laurent chart, or x times one),
+    n <= 2*korder and s = 0 or 1 (so not always canonical), plus up to two
+    terms of lower order whose coefficients have x-exponents in 0..1; a P
+    with no T^(-1) may come as a DiffOp."""
+    p = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(0, 2))
+    mp = draw(st.integers(m, 2))
+    laurent = draw(st.booleans())
+    floor = draw(st.integers(-12, -6))
+    theta = SymbolPoly(p, 0, 1, {(1,): draw(st.sampled_from([Poly.const(1), Poly.var()]))
+                                 if laurent and mp <= 1 else Poly.const(1)})
+    korder = p**mp
+    n = draw(st.integers(0, 2 * korder))
+    s = draw(st.integers(0, 1))
+    lead = Poly(1, {(draw(st.integers(0, 1)) if laurent else 0,):
+                    draw(st.sampled_from([1, -1, 3, Fraction(1, 2)]))})
+    terms = {((n + s * korder,), s): lead}
+    polys = st.dictionaries(
+        st.tuples(st.integers(0, 1)), st.integers(-4, 4).filter(bool), min_size=1, max_size=2
+    ).map(lambda c: Poly(1, c))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, 1))
+        if n + i * korder > 0:  # order k - i*korder below n
+            terms[((draw(st.integers(0, n + i * korder - 1)),), i)] = draw(polys)
+    if all(i == 0 for _, i in terms) and draw(st.booleans()):
+        P = DiffOp(p, m, 1, {k: c for (k, _), c in terms.items()})
+    else:
+        P = MicroOp(theta, m, mp, terms, laurent=laurent)
+    return P, theta, mp, floor, laurent
+
+
+def inversion_outcome(P, theta, mprime, floor, laurent):
+    """What try_invert reports, or the error it raises, as comparable data."""
+    try:
+        rep = try_invert(P, theta, mprime, floor, laurent=laurent)
+    except MicrodiffError as err:
+        return type(err), str(err)
+    return (rep.ok, rep.inverse.to_json(), rep.profile.pairs(),
+            rep.left_residual_below_floor, rep.right_residual_below_floor, rep.note)
+
+
+@contextlib.contextmanager
+def fresh_memo_per_product():
+    """In the block, every micro_multiply call gets a fresh ad_T memo, as
+    each product of try_invert had before the products shared one."""
+    def fresh(P, Q, *, memo=None):
+        return micro_multiply(P, Q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("microdiff.microloc.micro_multiply", fresh)
+        yield
 
 
 X_XI2 = SymbolPoly(2, 0, 1, {(1,): Poly.var()})  # x*xi
@@ -500,6 +559,24 @@ class TestMultiply:
                 return
         assert_constant_factor_leaves_the_product(P, P, c)
 
+    @settings(max_examples=60, deadline=None)
+    @given(left_micro_pairs())
+    def test_a_filled_memo_leaves_the_product(self, pair):
+        # the memo holds [T, D] exactly, whatever the floor of the product
+        # that filled it, so any later product over the same T may read it
+        A, B = pair
+        memo = {}
+        micro_multiply(B, A, memo=memo)
+        micro_multiply(B.truncate(-2), B, memo=memo)
+        want = micro_multiply(A, B)
+        got = micro_multiply(A, B, memo=memo)
+        assert got.to_json() == want.to_json()
+        assert list(got.terms) == list(want.terms)
+        with counting_commutators() as calls:
+            again = micro_multiply(A, B, memo=memo)
+        assert calls[0] == 0
+        assert again.to_json() == want.to_json()
+
     def test_associativity(self):
         rng = random.Random(17)
         for _ in range(10):
@@ -593,6 +670,26 @@ class TestInversion:
         with pytest.raises(SymbolMismatch):
             try_invert(P, XI2, 0, floor=-4)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_presentation_off_canonical_form_inverts(self, p):
+        xi = SymbolPoly.xi(p, 0)
+        P = MicroOp(xi, 0, 0, {((4,), 1): 1})  # D^4 T^-1 with T = d: d^3
+        d3 = DiffOp.dx(p, 0, 3)
+        assert P == MicroOp.from_diffop(d3, xi, 0)
+        rep = try_invert(P, xi, 0, floor=-6)
+        assert rep.ok
+        assert rep.inverse.to_json() == try_invert(d3, xi, 0, floor=-6).inverse.to_json()
+
+    @settings(max_examples=25, deadline=None)
+    @given(inversion_inputs())
+    def test_the_canonical_form_gets_the_same_verdict(self, args):
+        P, theta, mprime, floor, laurent = args
+        if isinstance(P, DiffOp):
+            P = MicroOp.from_diffop(P, theta, mprime, laurent=laurent)
+        assert inversion_outcome(P, theta, mprime, floor, laurent) == inversion_outcome(
+            P.canonical(), theta, mprime, floor, laurent
+        )
+
     def test_another_localizer_is_refused_before_any_product(self, monkeypatch):
         P = DiffOp.dx(2, 0) + invert_theta_tilde(XI2, 0, 1, floor=-6)
         monkeypatch.setattr("microdiff.microloc.micro_multiply", None)
@@ -622,6 +719,23 @@ class TestInversion:
     def test_window_floor_must_be_a_finite_integer(self, floor, message):
         with pytest.raises(InvalidParameter, match=message):
             try_invert(DiffOp.dx(2, 0), XI2, 0, floor=floor)
+
+
+class TestOneMemoPerInversion:
+    """try_invert's products share one ad_T memo; the path where each
+    product has a fresh memo is the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(inversion_inputs())
+    @example((DiffOp.dx(2, 0) - DiffOp.x(2, 0), XI2, 0, -6, False))
+    @example((DiffOp.dx(2, 1) - DiffOp.x(2, 1), XI2, 1, -12, False))
+    def test_a_shared_memo_gives_the_same_report(self, args):
+        with counting_commutators() as shared:
+            got = inversion_outcome(*args)
+        with counting_commutators() as fresh, fresh_memo_per_product():
+            want = inversion_outcome(*args)
+        assert got == want
+        assert shared[0] <= fresh[0]
 
 
 class TestConvergence:

@@ -22,14 +22,12 @@ from .errors import (
     SearchBoundExceeded,
     ZeroOperator,
 )
-from .padic import residue
+from .padic import INF, residue
 from .polynomials import Poly, render_terms
 from .pseudopoly import (
     SymbolPoly, TermAlgebra, level_changed, rational_level_change, theta_variants,
 )
 from .record import FrozenRecord
-
-INF = math.inf
 
 
 def _leibniz_into(prod: dict, a_plain: dict, b_plain: dict, sign: int, jmin: int):

@@ -14,7 +14,6 @@ statements.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .diffop import DiffOp, ThetaTilde, build_theta_tilde
@@ -26,6 +25,7 @@ from .errors import (
     SymbolMismatch,
 )
 from .padic import (  # alpha_bound and normcalc_bounds are exported here too
+    INF,
     alpha_bound,
     binomial_structure_constant_exact,
     level_factorial_ratio_exact,
@@ -34,8 +34,6 @@ from .padic import (  # alpha_bound and normcalc_bounds are exported here too
 from .polynomials import Poly
 from .pseudopoly import SymbolPoly, TermSum, check_window, rational_level_change
 from .record import FrozenRecord
-
-INF = math.inf
 
 
 class MicroOp(TermSum):
@@ -384,11 +382,11 @@ def _right_decompose(D: DiffOp) -> dict:
         top = {k: c for k, c in rest.terms.items() if sum(k) == n}
         sub = DiffOp.zero(D.p, D.m, D.d)
         for k, c in top.items():
-            out[k] = out.get(k, Poly.zero(D.d)) + c
+            _accumulate(out, k, c)
             mono = DiffOp(D.p, D.m, D.d, {k: Poly.const(1, D.d)})
             sub = sub + mono * DiffOp.from_poly(c, D.p, D.m)
         rest = rest - sub
-    return {k: c for k, c in out.items() if not c.is_zero()}
+    return out
 
 
 def micro_multiply(P: MicroOp, Q: MicroOp, *, memo=None) -> MicroOp:
@@ -415,21 +413,17 @@ def micro_multiply(P: MicroOp, Q: MicroOp, *, memo=None) -> MicroOp:
     out = {}
     if memo is None:
         memo = {}
+    rights = [(i2, DiffOp(P.p, P.level, P.d, {k2: b2})) for (k2, i2), b2 in Q.terms.items()]
     for (k1, i1), b1 in P.terms.items():
         left = DiffOp(P.p, P.level, P.d, {k1: b1})
-        for (k2, i2), b2 in Q.terms.items():
-            right = DiffOp(P.p, P.level, P.d, {k2: b2})
+        for i2, right in rights:
             sub_floor = floor + i2 * korder  # the T^(-i2) tail shifts orders down
-            pushed = _push(T, i1, right, sub_floor, korder, True, memo)
-            for t, D in pushed.items():
-                prod = left * D
-                i = t + i2
-                for k, c in prod.terms.items():
-                    key = (k, i)
-                    out[key] = out.get(key, Poly.zero(P.d)) + c
-    return MicroOp(
-        P.theta, P.level, P.mprime, out, "left", floor, P.laurent or Q.laurent
-    ).canonical()
+            for t, D in _push(T, i1, right, sub_floor, korder, True, memo).items():
+                for k, c in (left * D).terms.items():
+                    _accumulate(out, (k, t + i2), c)
+    prod = P.with_terms(out, floor)
+    prod.laurent = P.laurent or Q.laurent  # joins the charts as __add__ does
+    return prod.canonical()
 
 
 def convert_presentation(P: MicroOp, target_side: str) -> MicroOp:
@@ -456,8 +450,7 @@ def convert_presentation(P: MicroOp, target_side: str) -> MicroOp:
             Q = DiffOp(P.p, P.level, P.d, {k: b})
         for t, D in _push(T, i, Q, P.floor, P.localizer_order, to_left, memo).items():
             for kk, c in (D.terms if to_left else _right_decompose(D)).items():
-                key = (kk, t)
-                out[key] = out.get(key, Poly.zero(P.d)) + c
+                _accumulate(out, (kk, t), c)
     return MicroOp(P.theta, P.level, P.mprime, out, target_side, P.floor, P.laurent)
 
 
@@ -584,19 +577,22 @@ def try_invert(P, theta: SymbolPoly, mprime: int, floor, laurent=False) -> Inver
     else:  # a unit such as 1/x on the Laurent chart does not commute with P
         e = micro_multiply(P, S0, memo=memo) - one
     # geometric series (1+e)^(-1) = sum (-e)^t down to the floor
+    ratio = -e
     acc = one
     termop = one
     while True:
-        termop = micro_multiply(termop, -e, memo=memo)
+        termop = micro_multiply(termop, ratio, memo=memo)
         if termop.is_zero() or termop.order() < floor:
             break
         acc = acc + termop
     S = micro_multiply(S0, acc, memo=memo)
-    # certificates: no residual term above the residual's own (drifted) floor
+    # certificates: no residual term above the residual's own (drifted) floor;
+    # each is canonical as it is, since a product comes back canonical,
+    # subtracting 1 touches only T^0, and a cut keeps each bucket's top terms
     left_res = micro_multiply(P, S, memo=memo) - one
     right_res = micro_multiply(S, P, memo=memo) - one
-    lok = left_res.truncate(left_res.floor + 1).canonical().is_zero()
-    rok = right_res.truncate(right_res.floor + 1).canonical().is_zero()
+    lok = left_res.truncate(left_res.floor + 1).is_zero()
+    rok = right_res.truncate(right_res.floor + 1).is_zero()
     profile = validate_convergence(S)
     ok = lok and rok and profile.bounded
     note = "" if ok else (
@@ -659,9 +655,9 @@ def membership_intermediate(P: MicroOp, m: int) -> MembershipVerdict:
         return MembershipVerdict(
             "Undetermined", f"window floor {Pc.floor} hides orders in [0, {Pc.floor})"
         )
-    image = psi_level_lower(Pc, m)
     worst = None
-    for (k, i), c in image.canonical().terms.items():
+    # psi rescales terms without changing which tops divide: still canonical
+    for (k, i), c in psi_level_lower(Pc, m).terms.items():
         if sum(k) - i * P.localizer_order < 0:
             continue  # automatic: E^(m,m')_0 = E^(m')_0
         v = c.p_valuation(P.p)

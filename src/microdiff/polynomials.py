@@ -7,12 +7,9 @@ polynomials are the special case with nonnegative support.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .padic import residue, valuation
-
-INF = math.inf
+from .padic import INF, residue, valuation
 
 
 def power(base, n: int, one):

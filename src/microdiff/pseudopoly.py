@@ -20,20 +20,18 @@ between divided bases; to level 0 it is the rational lift.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
 from .errors import InvalidParameter, LevelMismatch, NotHomogeneous
 from .padic import (
+    INF,
     binomial_structure_constant_exact,
     divided_lift,
     level_shift_constant,
     valuation,
 )
 from .polynomials import Poly, power, render_terms
-
-INF = math.inf
 
 # No localizer has an order n*p^m' above this: at p = 2, `invert --expr d1`
 # took 0.24 s of CPU at --mprime 14 (order 2^14), 2.9 s at 16 and 29 s at 18,
